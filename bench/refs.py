@@ -70,6 +70,13 @@ def factors(word, n):
     return {word[i:i + n] for i in range(len(word) - n + 1)}
 
 
+def has_unbordered_factor(word, n):
+    """Whether some length-n factor of `word` has no proper prefix that is
+    also a suffix."""
+    return any(all(word[i:i + k] != word[i + n - k:i + n] for k in range(1, n))
+               for i in range(len(word) - n + 1))
+
+
 # -- series, counts and linear arithmetic ------------------------------------
 
 def series_value(u, mats, v, digits):

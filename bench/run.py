@@ -6,16 +6,25 @@
 Run from the repository root; the engine is imported from ./src.  Load is a
 closed loop: one client in one thread issues each query after the previous
 one returns.  With --trace 0 the runner repeats passes over the workload's
-queries while they fit in S seconds and reports the end-to-end metrics:
+queries for about S seconds (it starts no pass that would end more than half
+a pass late) and reports the end-to-end metrics:
 
-    setup_s      median time from process start until the first query can be
-                 issued (interpreter, `import autoseq`, seqgen.load of the
-                 corpus), over several fresh processes
-    wall_s       time of one pass over the queries: the sum over queries of
-                 each query's median time across passes; reference checks
-                 run outside the timed region
+    setup_s      time from process start until the first query can be issued
+                 (interpreter, `import autoseq`, seqgen.load of the corpus):
+                 the fastest of several fresh processes spawned at intervals
+                 across the run
+    wall_s       time of one pass over the queries that are expected to
+                 complete: the sum over queries of each query's fastest time
+                 across passes; reference checks run outside the timed region
     peak_rss_mb  high-water resident memory of this process
-    pass_rate    queries answered correctly / queries attempted
+    pass_rate    share of the workload's queries answered correctly in every
+                 attempt; each query counts once
+
+Machine noise only ever adds time, so the minimum is the estimator that a
+slow spell of the host shorter than the run cannot raise.  A query known to
+run into the per-query deadline is attempted once, before the passes; its
+capped time is printed but is not part of wall_s, since it measures the
+deadline.
 
 With --trace 1 it runs one untraced pass, then one traced pass through the
 outside-in tracer (tracer.py), and reports the per-layer metrics; the spans
@@ -34,7 +43,6 @@ import json
 import os
 import resource
 import signal
-import statistics
 import subprocess
 import sys
 import time
@@ -44,10 +52,10 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 CORPUS = os.path.join(HERE, "corpus")
 OUT = os.path.join(HERE, "out")
-DEADLINE_S = 20.0
-SETUP_RUNS = 11
+# About 2.5 times the slowest query that completes (6 s on a 2.1 GHz Xeon).
+DEADLINE_S = 15.0
+SETUP_RUNS = 16
 MIN_COVERAGE = 0.95
-END_TO_END = (("setup_s", "s"), ("wall_s", "s"), ("peak_rss_mb", "MB"), ("pass_rate", "share"))
 
 sys.path.insert(0, SRC)
 
@@ -78,21 +86,36 @@ def check_engine_source(module):
         raise SystemExit(f"autoseq was imported from {path}, not from {SRC}")
 
 
-def measure_setup(names):
-    """Median seconds from spawning a fresh interpreter to its 'ready' line."""
-    code = SETUP_PROBE.format(src=SRC, names=tuple(names), corpus=CORPUS)
-    times = []
-    for _ in range(SETUP_RUNS):
+class SetupProbes:
+    """Spawns of a fresh interpreter, timed until it prints 'ready', spread
+    across the run so that one slow spell of the host cannot meet them all."""
+
+    def __init__(self, names, seconds):
+        self.code = SETUP_PROBE.format(src=SRC, names=tuple(names), corpus=CORPUS)
+        self.interval = seconds / (SETUP_RUNS + 2)
+        self.times = []
+        self.last = None
+
+    def probe(self):
         t0 = time.perf_counter()
-        with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+        with subprocess.Popen([sys.executable, "-c", self.code], stdout=subprocess.PIPE,
                               cwd=ROOT, text=True) as proc:
             line = proc.stdout.readline()
             elapsed = time.perf_counter() - t0
             proc.stdout.read()
             if proc.wait() != 0 or line.strip() != "ready":
                 raise SystemExit("setup probe failed")
-        times.append(elapsed)
-    return statistics.median(times)
+        self.times.append(elapsed)
+        self.last = time.perf_counter()
+
+    def between_queries(self):
+        if len(self.times) < SETUP_RUNS and time.perf_counter() - self.last >= self.interval:
+            self.probe()
+
+    def fastest(self):
+        while len(self.times) < SETUP_RUNS:
+            self.probe()
+        return min(self.times)
 
 
 def load_corpus(seqgen, names):
@@ -103,8 +126,9 @@ def load_corpus(seqgen, names):
     return corpus
 
 
-def run_pass(queries, label, tracer=None):
-    """One pass in fixed order; returns (query seconds, [(query, seconds, status, detail)])."""
+def run_pass(queries, label, tracer=None, between=None):
+    """One pass in fixed order; returns (query seconds, [(query, seconds, status, detail)]).
+    `between` is called after each query, outside its timed region."""
     signal.signal(signal.SIGALRM, _on_alarm)
     rows = []
     for qid, q in enumerate(queries):
@@ -134,6 +158,8 @@ def run_pass(queries, label, tracer=None):
             status = "known:" + status if status == q.known_defect else "FAILED:" + status
         rows.append((q.name, elapsed, status, detail))
         print(f"{label} {q.name:60s} {elapsed:9.4f} s  {status} {detail}".rstrip(), flush=True)
+        if between:
+            between()
     return sum(r[1] for r in rows), rows
 
 
@@ -179,7 +205,9 @@ def main(argv=None):
         return summarize(workloads.WORKLOADS, args.seed, args.seconds)
     if args.workload not in workloads.WORKLOADS:
         ap.error(f"--workload must be one of {workloads.WORKLOADS} or all (with --trace 0)")
-    setup_s = measure_setup(workloads.SEQUENCES) if not args.trace else None
+    probes = None if args.trace else SetupProbes(workloads.SEQUENCES, args.seconds)
+    if probes:
+        probes.probe()
     corpus = load_corpus(seqgen, workloads.SEQUENCES)
     queries = workloads.build(args.workload, args.seed, corpus, refs.load_all())
 
@@ -202,29 +230,41 @@ def main(argv=None):
         for name, seconds in sorted(self_s.items(), key=lambda kv: -kv[1])[:5]:
             print(f"  self time {name:40s} {seconds:9.4f} s  {seconds / total:6.1%}")
     else:
+        capped = [q for q in queries if q.known_defect == "deadline"]
+        timed = [q for q in queries if q.known_defect != "deadline"]
+        passes.append(run_pass(capped, "once", between=probes.between_queries)[1])
         start = time.perf_counter()
+        timed_passes = []
         while True:
             t0 = time.perf_counter()
-            passes.append(run_pass(queries, f"pass{len(passes)}")[1])
+            timed_passes.append(run_pass(timed, f"pass{len(timed_passes)}",
+                                         between=probes.between_queries)[1])
             last = time.perf_counter() - t0
-            if time.perf_counter() - start + last > args.seconds:
+            # Stop when another pass would end more than half a pass late.
+            if time.perf_counter() - start + last / 2 > args.seconds:
                 break
-        # Sum over queries of each query's median time across passes: a burst
-        # of machine noise slows one pass of a query, not its median.
-        wall = sum(statistics.median(r[1] for r in rows) for rows in zip(*passes))
+        passes += timed_passes
+        wall = sum(min(r[1] for r in rows) for rows in zip(*timed_passes))
+        setup_s = probes.fastest()
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     attempted = sum(len(rows) for rows in passes)
     failed = sum(1 for rows in passes for r in rows if r[2].startswith("FAILED"))
     known = sum(1 for rows in passes for r in rows if r[2].startswith("known"))
+    answered = {q.name for q in queries}
+    for rows in passes:
+        answered -= {r[0] for r in rows if r[2] != "ok"}
+    pass_rate = len(answered) / len(queries)
     if not args.trace:
         values = {"setup_s": setup_s, "wall_s": wall, "peak_rss_mb": peak_rss_mb,
-                  "pass_rate": (attempted - failed - known) / attempted}
-        metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END}
-    print(f"workload {args.workload} seed {args.seed}: {len(passes)} pass(es) of "
-          f"{len(queries)} queries; error_rate {(failed + known) / attempted:.4f} "
-          f"({known} known-defect, {failed} unexpected failures of {attempted})")
-    print(f"  {'error_rate':45s} {(failed + known) / attempted:.6g} share")
+                  "pass_rate": pass_rate}
+        metrics = {name: {"value": values[name], "unit": unit}
+                   for name, unit in tracing.metric_units("end_to_end")}
+        print(f"setup probes: {len(probes.times)}, "
+              f"{' '.join(f'{t:.4f}' for t in probes.times)} s")
+    print(f"workload {args.workload} seed {args.seed}: {len(queries)} queries, "
+          f"{attempted} attempts; {known} known-defect and {failed} unexpected failures")
+    print(f"  {'error_rate':45s} {1 - pass_rate:.6g} share")
     for name, m in metrics.items():
         print(f"  {name:45s} {m['value']:.6g} {m['unit']}")
     if args.trace:

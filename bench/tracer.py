@@ -14,6 +14,8 @@ time is a span's duration minus the durations of its direct children.
 
 import gc
 import importlib
+import json
+import os
 import sys
 import time
 import types
@@ -44,43 +46,16 @@ GROUPS = {
     "regseq.normalize": ("regseq.normalize_leading", "regseq.normalize_trailing"),
 }
 
-# The per-layer metrics, in report order, with their units.
-PER_LAYER = (
-    ("automata.self_s", "s"), ("automata.calls", "count"),
-    ("automata.determinize.calls", "count"), ("automata.determinize.self_s", "s"),
-    ("automata.determinize.states_out", "states"),
-    ("automata.determinize.states_out_max", "states"),
-    ("automata.determinize.symbols_max", "symbols"),
-    ("automata.subset_useful_share", "share"),
-    ("automata.minimize.calls", "count"), ("automata.minimize.self_s", "s"),
-    ("automata.minimize.states_in", "states"), ("automata.minimize.states_out", "states"),
-    ("automata.minimize.dup_share", "share"),
-    ("automata.pad_closure.calls", "count"), ("automata.pad_closure.self_s", "s"),
-    ("automata.pad_closure.states_out", "states"),
-    ("automata.product.calls", "count"), ("automata.product.self_s", "s"),
-    ("automata.product.states_out", "states"),
-    ("automata.project_many.calls", "count"), ("automata.project_many.self_s", "s"),
-    ("automata.remap.calls", "count"), ("automata.remap.self_s", "s"),
-    ("automata.search.calls", "count"), ("automata.search.self_s", "s"),
-    ("automata.states_out_max", "states"),
-    ("logic.self_s", "s"), ("logic.parse.self_s", "s"), ("logic.compile.calls", "count"),
-    ("regseq.self_s", "s"),
-    ("regseq.eps_saturate.calls", "count"), ("regseq.eps_saturate.self_s", "s"),
-    ("regseq.eps_saturate.states", "states"),
-    ("regseq.trim_nfa.self_s", "s"),
-    ("regseq.linrep_from_nfa.self_s", "s"), ("regseq.linrep_from_nfa.rank_out", "rank"),
-    ("regseq.decompose_infinity.calls", "count"), ("regseq.decompose_infinity.self_s", "s"),
-    ("regseq.decompose_infinity.rank_in", "rank"), ("regseq.decompose_infinity.rows", "rows"),
-    ("regseq.eval_word.calls", "count"), ("regseq.eval_word.self_s", "s"),
-    ("regseq.eval_word.digits", "digits"), ("regseq.eval_word.row_ops", "ops"),
-    ("regseq.kernel_relations.calls", "count"), ("regseq.kernel_relations.self_s", "s"),
-    ("regseq.verify_relation.calls", "count"), ("regseq.verify_relation.self_s", "s"),
-    ("regseq.nfa_from_linrep.self_s", "s"), ("regseq.nfa_from_linrep.states_out", "states"),
-    ("regseq.normalize.self_s", "s"),
-    ("seqgen.self_s", "s"), ("numeration.self_s", "s"), ("analyses.self_s", "s"),
-    ("cli.self_s", "s"),
-    ("trace.coverage", "share"), ("trace.overhead_s", "s"),
-)
+SPEC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "BENCHMARK.json")
+
+
+def metric_units(kind):
+    """[(name, unit)] of BENCHMARK.json's "end_to_end" or "per_layer" list,
+    in report order."""
+    with open(SPEC, encoding="utf-8") as fh:
+        return [(m["name"], m["unit"]) for m in json.load(fh)[kind]]
+
 
 NAME, START, END, PARENT, QUERY, INFO = range(6)
 
@@ -227,7 +202,7 @@ def self_times(spans):
 
 
 def layer_metrics(spans, traced_wall, untraced_wall):
-    """PER_LAYER metrics of one traced pass, as {name: (value, unit)}."""
+    """The per-layer metrics of one traced pass, as {name: (value, unit)}."""
     self_s, calls = self_times(spans)
 
     def total(table, names):
@@ -279,4 +254,4 @@ def layer_metrics(spans, traced_wall, untraced_wall):
     covered = sum(d for s, d in zip(spans, _durations(spans)) if s[PARENT] < 0)
     m["trace.coverage"] = covered / traced_wall if traced_wall else 0.0
     m["trace.overhead_s"] = traced_wall - untraced_wall
-    return {name: (m[name], unit) for name, unit in PER_LAYER}
+    return {name: (m[name], unit) for name, unit in metric_units("per_layer")}

@@ -127,6 +127,21 @@ def decision_query(entry, text, corpus, prefixes, quick=False):
     return Query(f"decide:{prop}@{name}", run, check, quick=quick)
 
 
+def analysis_query(entry, corpus, prefixes, quick=False):
+    fn, name, verdict = entry["function"], entry["sequence"], entry["verdict"]
+    x = corpus[name]
+
+    def run():
+        return getattr(analyses, fn)(x)
+
+    def check(value):
+        expect(value == verdict, f"{fn} is {value}, table says {verdict}")
+        expect(refs.has_unbordered_factor(prefixes.word(name), entry["length"]),
+               f"no unbordered factor of length {entry['length']} on the prefix")
+
+    return Query(f"analysis:{fn}@{name}", run, check, quick=quick)
+
+
 # -- factor-set comparison (compile) -------------------------------------------
 
 def compare_query(key, ref, corpus, prefixes, known_defect=None, quick=False):
@@ -338,6 +353,8 @@ def build(workload, seed, corpus, tables):
         for entry in decisions["entries"]:
             qs.append(decision_query(entry, decisions["sentences"][entry["property"]], corpus,
                                      prefixes, quick=entry["sequence"] == "tm"))
+        for entry in decisions["analyses"]:
+            qs.append(analysis_query(entry, corpus, prefixes, quick=True))
         defects = {"tm|rs": "AttributeError", "pd|pf": "AttributeError"}
         for key, ref in tables["factor_sets"].items():
             qs.append(compare_query(key, ref, corpus, prefixes, defects.get(key),
@@ -357,10 +374,12 @@ def build(workload, seed, corpus, tables):
                 q.known_defect = "deadline"
             qs.append(q)
         digit_sets = [((0, 1), 2), ((0, 1, 2), 2)]
-        for _ in range(2):
+        while len(digit_sets) < 4:  # two seeded sets, each new
             k = rng.choice((2, 3))
             extra = rng.sample(range(k, 2 * k + 2), 2)
-            digit_sets.append((tuple(sorted(set(range(k)) | set(extra))), k))
+            drawn = (tuple(sorted(set(range(k)) | set(extra))), k)
+            if drawn not in digit_sets:
+                digit_sets.append(drawn)
         for i, (digits, k) in enumerate(digit_sets):
             qs.append(representation_query(digits, k, quick=i == 1))
     elif workload == "series":
@@ -372,4 +391,5 @@ def build(workload, seed, corpus, tables):
             qs.append(round_trip_query(i, u, mats, v, quick=i < 2))
     else:
         raise ValueError(f"unknown workload {workload!r}; choose from {WORKLOADS}")
+    assert len({q.name for q in qs}) == len(qs), "query names must be unique"
     return qs
