@@ -5,26 +5,33 @@
 
 Run from the repository root; the engine is imported from ./src.  Load is a
 closed loop: one client in one thread issues each query after the previous
-one returns.  With --trace 0 the runner repeats passes over the workload's
-queries for about S seconds (it starts no pass that would end more than half
-a pass late) and reports the end-to-end metrics:
+one returns.  With --trace 0 the runner spends about S seconds in all: it
+repeats passes over the queries expected to complete (it starts no pass
+that would end more than half a pass late), then attempts once each query
+known to run into the per-query deadline, and reports the end-to-end
+metrics:
 
     setup_s      time from process start until the first query can be issued
                  (interpreter, `import autoseq`, seqgen.load of the corpus):
-                 the fastest of several fresh processes spawned at intervals
-                 across the run
+                 the median of several fresh processes spawned at intervals
+                 across the run, each rescaled to the reference host speed
     wall_s       time of one pass over the queries that are expected to
-                 complete: the sum over queries of each query's fastest time
-                 across passes; reference checks run outside the timed region
-    peak_rss_mb  high-water resident memory of this process
+                 complete, rescaled to the reference host speed; the median
+                 over the passes; reference checks run outside the timed
+                 region
+    peak_rss_mb  high-water resident memory of this process over the passes
     pass_rate    share of the workload's queries answered correctly in every
                  attempt; each query counts once
 
-Machine noise only ever adds time, so the minimum is the estimator that a
-slow spell of the host shorter than the run cannot raise.  A query known to
-run into the per-query deadline is attempted once, before the passes; its
-capped time is printed but is not part of wall_s, since it measures the
-deadline.
+The host's speed drifts by up to 1.8 times for minutes at a time, so raw
+times of the same work spread past any useful bound.  speed.py times a
+fixed kernel of engine-independent work at the same moments as the engine
+(from a SIGPROF handler while a query runs, or inside each setup process),
+and every time is divided by the kernel's time and multiplied by its
+reference time; the raw times are printed beside them.  A deadline query's
+capped time measures the deadline, and the memory it holds when cut
+measures how far the host let it get, so neither is part of wall_s or
+peak_rss_mb; the query still counts in pass_rate.
 
 With --trace 1 it runs one untraced pass, then one traced pass through the
 outside-in tracer (tracer.py), and reports the per-layer metrics; the spans
@@ -43,6 +50,7 @@ import json
 import os
 import resource
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -55,9 +63,12 @@ OUT = os.path.join(HERE, "out")
 # About 2.5 times the slowest query that completes (6 s on a 2.1 GHz Xeon).
 DEADLINE_S = 15.0
 SETUP_RUNS = 16
+PROBE_KERNELS = 40
 MIN_COVERAGE = 0.95
 
 sys.path.insert(0, SRC)
+
+import speed  # noqa: E402
 
 SETUP_PROBE = """
 import os, sys
@@ -68,6 +79,10 @@ for name in {names!r}:
     with open(os.path.join({corpus!r}, name + ".dfao"), encoding="utf-8") as fh:
         seqgen.load(fh.read())
 print("ready", flush=True)
+sys.path.insert(0, {here!r})
+import speed
+speed.kernel()
+print(sum(speed.time_kernel() for _ in range({kernels})) / {kernels}, flush=True)
 """
 
 
@@ -88,12 +103,16 @@ def check_engine_source(module):
 
 class SetupProbes:
     """Spawns of a fresh interpreter, timed until it prints 'ready', spread
-    across the run so that one slow spell of the host cannot meet them all."""
+    across the run so that one slow spell of the host cannot meet them all.
+    Each is rescaled by the kernel time that the same interpreter measures
+    right after it is ready."""
 
     def __init__(self, names, seconds):
-        self.code = SETUP_PROBE.format(src=SRC, names=tuple(names), corpus=CORPUS)
+        self.code = SETUP_PROBE.format(src=SRC, names=tuple(names), corpus=CORPUS,
+                                       here=HERE, kernels=PROBE_KERNELS)
         self.interval = seconds / (SETUP_RUNS + 2)
-        self.times = []
+        self.raw = []
+        self.times = []  # rescaled to the reference host speed
         self.last = None
 
     def probe(self):
@@ -102,20 +121,21 @@ class SetupProbes:
                               cwd=ROOT, text=True) as proc:
             line = proc.stdout.readline()
             elapsed = time.perf_counter() - t0
-            proc.stdout.read()
+            kernel_s = proc.stdout.read()
             if proc.wait() != 0 or line.strip() != "ready":
                 raise SystemExit("setup probe failed")
-        self.times.append(elapsed)
+        self.raw.append(elapsed)
+        self.times.append(speed.reference_seconds(elapsed, float(kernel_s)))
         self.last = time.perf_counter()
 
     def between_queries(self):
         if len(self.times) < SETUP_RUNS and time.perf_counter() - self.last >= self.interval:
             self.probe()
 
-    def fastest(self):
+    def median(self):
         while len(self.times) < SETUP_RUNS:
             self.probe()
-        return min(self.times)
+        return statistics.median(self.times)
 
 
 def load_corpus(seqgen, names):
@@ -126,9 +146,11 @@ def load_corpus(seqgen, names):
     return corpus
 
 
-def run_pass(queries, label, tracer=None, between=None):
+def run_pass(queries, label, tracer=None, between=None, sampler=None):
     """One pass in fixed order; returns (query seconds, [(query, seconds, status, detail)]).
-    `between` is called after each query, outside its timed region."""
+    `between` is called after each query, outside its timed region.  With a
+    sampler, its handler time is taken out of each query's time and each
+    query's kernel samples are appended to `sampler.per_query`."""
     signal.signal(signal.SIGALRM, _on_alarm)
     rows = []
     for qid, q in enumerate(queries):
@@ -136,6 +158,9 @@ def run_pass(queries, label, tracer=None, between=None):
         if tracer:
             tracer.begin(qid)
         status, detail, result = "ok", "", None
+        if sampler:
+            sampler.handler_s = 0.0
+            sampler.active = True
         signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
         t0 = time.perf_counter()
         try:
@@ -147,6 +172,10 @@ def run_pass(queries, label, tracer=None, between=None):
         finally:
             elapsed = time.perf_counter() - t0
             signal.setitimer(signal.ITIMER_REAL, 0)
+            if sampler:
+                sampler.active = False
+                elapsed -= sampler.handler_s
+                sampler.per_query.append(sampler.take())
             if tracer:
                 tracer.end()
         if status == "ok":
@@ -232,21 +261,35 @@ def main(argv=None):
     else:
         capped = [q for q in queries if q.known_defect == "deadline"]
         timed = [q for q in queries if q.known_defect != "deadline"]
-        passes.append(run_pass(capped, "once", between=probes.between_queries)[1])
         start = time.perf_counter()
-        timed_passes = []
-        while True:
-            t0 = time.perf_counter()
-            timed_passes.append(run_pass(timed, f"pass{len(timed_passes)}",
-                                         between=probes.between_queries)[1])
-            last = time.perf_counter() - t0
-            # Stop when another pass would end more than half a pass late.
-            if time.perf_counter() - start + last / 2 > args.seconds:
-                break
-        passes += timed_passes
-        wall = sum(min(r[1] for r in rows) for rows in zip(*timed_passes))
-        setup_s = probes.fastest()
+        sampler = speed.Sampler()
+        sampler.start()
+        try:
+            walls = []
+            while True:
+                t0 = time.perf_counter()
+                sampler.per_query = []
+                raw, rows = run_pass(timed, f"pass{len(walls)}",
+                                     between=probes.between_queries, sampler=sampler)
+                last = time.perf_counter() - t0
+                passes.append(rows)
+                walls.append(speed.rescale_pass([r[1] for r in rows], sampler.per_query))
+                kernel_ms = 1e3 * statistics.fmean(x for xs in sampler.per_query for x in xs)
+                print(f"pass{len(walls) - 1}: {raw:.4f} s at a mean kernel time of "
+                      f"{kernel_ms:.4f} ms, {walls[-1]:.4f} s at the reference speed")
+                # Stop when another pass, and the capped queries after it,
+                # would end more than half a pass late.
+                if (time.perf_counter() - start + last / 2 + DEADLINE_S * len(capped)
+                        > args.seconds):
+                    break
+        finally:
+            sampler.stop()
+        wall = statistics.median(walls)
+        # Read before the capped queries: how much memory one holds when the
+        # deadline cuts it depends on how far the host let it get.
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        passes.append(run_pass(capped, "once", between=probes.between_queries)[1])
+        setup_s = probes.median()
 
     attempted = sum(len(rows) for rows in passes)
     failed = sum(1 for rows in passes for r in rows if r[2].startswith("FAILED"))
@@ -260,7 +303,8 @@ def main(argv=None):
                   "pass_rate": pass_rate}
         metrics = {name: {"value": values[name], "unit": unit}
                    for name, unit in tracing.metric_units("end_to_end")}
-        print(f"setup probes: {len(probes.times)}, "
+        print(f"setup probes: {len(probes.times)}; raw "
+              f"{' '.join(f'{t:.4f}' for t in probes.raw)} s; at the reference speed "
               f"{' '.join(f'{t:.4f}' for t in probes.times)} s")
     print(f"workload {args.workload} seed {args.seed}: {len(queries)} queries, "
           f"{attempted} attempts; {known} known-defect and {failed} unexpected failures")

@@ -68,3 +68,13 @@ def test_corrupted_reference_counts_as_failure():
     assert [r[0] for r in failed] == ["measure:tm/subword-complexity"]
     error_rate = sum(r[2] != "ok" for r in rows) / len(rows)
     assert error_rate > 0
+
+
+def test_rescaling_removes_a_uniform_slowdown():
+    import speed
+    times = [2.0, 0.01, 0.5]
+    samples = [[4e-4] * 80, [], [5e-4] * 20]
+    slow = speed.rescale_pass([1.7 * t for t in times], [[1.7 * x for x in xs] for xs in samples])
+    assert abs(slow - speed.rescale_pass(times, samples)) < 1e-9
+    # A query without enough samples of its own rescales by the whole pass's.
+    assert abs(speed.rescale_pass([0.01], [[4e-4] * 3]) - 0.01 * speed.REFERENCE_KERNEL_S / 4e-4) < 1e-12
