@@ -259,87 +259,20 @@ def has_unbounded_exponent(x, config=None):
     syms = automata.sym_tuples(dfa.base, 2)
     g0 = [s for s, sym in enumerate(syms) if sym[1] == 0]
     last = [s for s, sym in enumerate(syms) if sym[1] == 0 and sym[0] != 0]
-    reach = {dfa.initial}
-    stack = [dfa.initial]
-    while stack:
-        q = stack.pop()
-        for t in dfa.transitions[q]:
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
+    reach = automata._reachable((dfa.initial,), dfa.transitions.__getitem__)
+    zero_succ = {q: [dfa.transitions[q][s] for s in g0] for q in reach}
     # States with a zero-second-track path ending in a final via a nonzero
     # first digit.
-    target = set()
-    stack = []
-    pre = {q: set() for q in reach}
-    for q in reach:
-        for s in g0:
-            t = dfa.transitions[q][s]
-            if t in reach:
-                pre[t].add(q)
-        if any(dfa.transitions[q][s] in dfa.finals for s in last):
-            target.add(q)
-            stack.append(q)
-    closed = set(target)
-    while stack:
-        q = stack.pop()
-        for p in pre[q]:
-            if p not in closed:
-                closed.add(p)
-                stack.append(p)
-    # States on a cycle inside the zero-second-track subgraph.
-    succ = {q: [dfa.transitions[q][s] for s in g0 if dfa.transitions[q][s] in reach]
-            for q in reach}
-    on_cycle = _cycle_states(reach, succ)
-    return bool(on_cycle & closed)
-
-
-def _cycle_states(nodes, succ):
-    """States belonging to some cycle of the given subgraph."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    counter = [0]
-    out = set()
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for t in it:
-                if t not in index:
-                    index[t] = low[t] = counter[0]
-                    counter[0] += 1
-                    stack.append(t)
-                    on_stack.add(t)
-                    work.append((t, iter(succ[t])))
-                    advanced = True
-                    break
-                elif t in on_stack:
-                    low[node] = min(low[node], index[t])
-            if not advanced:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    if len(comp) > 1 or comp[0] in succ[comp[0]]:
-                        out.update(comp)
-    return out
+    pre = {q: [] for q in reach}
+    for q, targets in zero_succ.items():
+        for t in targets:
+            pre[t].append(q)
+    closed = automata._reachable(
+        [q for q in reach if any(dfa.transitions[q][s] in dfa.finals for s in last)],
+        pre.__getitem__)
+    # A cycle inside the zero-second-track subgraph through such a state.
+    return any(automata._cyclic(comp, zero_succ.__getitem__) and not closed.isdisjoint(comp)
+               for comp in automata._sccs(reach, zero_succ.__getitem__))
 
 
 def _canonical_only(dfa):

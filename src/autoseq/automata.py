@@ -12,6 +12,8 @@ final states may additionally carry multiplicities, which path-counting
 constructions need (a plain state set means multiplicity one).
 """
 
+from operator import or_
+
 from .numeration import DigitWord, encode_tuple
 
 
@@ -20,6 +22,7 @@ class StateLimit(RuntimeError):
 
 
 _ALPHABETS = {}
+_TRACK_MAPS = {}
 
 
 def alphabet(k, arity):
@@ -42,6 +45,108 @@ def sym_tuples(k, arity):
 
 def sym_index(k, arity):
     return alphabet(k, arity)[1]
+
+
+def _track_map(k, arity, picks):
+    """Symbol map of a track selection (cached): entry s is the id of the
+    symbol whose digits are those of symbol s (arity `arity`) on tracks
+    picks[0], picks[1], ...  Picks may drop, repeat or reorder tracks."""
+    picks = tuple(picks)
+    key = (k, arity, picks)
+    cached = _TRACK_MAPS.get(key)
+    if cached is None:
+        index = sym_index(k, len(picks))
+        cached = tuple(index[tuple(sym[p] for p in picks)] for sym in sym_tuples(k, arity))
+        _TRACK_MAPS[key] = cached
+    return cached
+
+
+# ---------------------------------------------------------------------------
+# Shared graph helpers
+
+def _explore(start, successors, limit=None):
+    """Worklist kernel of every "reachable states" construction.
+
+    Interns each key the first time successors() yields it and numbers the
+    keys in FIFO discovery order, so yielding successors in symbol order
+    gives the canonical breadth-first numbering.  Returns (keys, rows):
+    keys[i] is state i and rows[i] the ids of its successors in the order
+    yielded.  Raises StateLimit when the next new key would be number limit.
+    """
+    ids = {start: 0}
+    keys = [start]
+    rows = []
+    get = ids.get
+    for key in keys:  # keys grows while it is walked: a FIFO queue
+        row = []
+        for nxt in successors(key):
+            t = get(nxt)
+            if t is None:
+                t = len(keys)
+                if limit is not None and t >= limit:
+                    raise StateLimit(f"construction exceeded {limit} states")
+                ids[nxt] = t
+                keys.append(nxt)
+            row.append(t)
+        rows.append(row)
+    return keys, rows
+
+
+def _reachable(starts, succ):
+    """Set of nodes reachable from starts (included) along succ(node)."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for t in succ(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def _sccs(nodes, succ):
+    """Strongly connected components reachable from nodes, as lists, in
+    reverse topological order (a component comes before every component
+    that reaches it).  Iterative Tarjan; roots are tried in nodes order."""
+    index = {}
+    low = {}
+    stack = []
+    on_stack = set()
+    out = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            node, it = work[-1]
+            for t in it:
+                if t not in index:
+                    index[t] = low[t] = len(index)
+                    stack.append(t)
+                    on_stack.add(t)
+                    work.append((t, iter(succ(t))))
+                    break
+                if t in on_stack and index[t] < low[node]:
+                    low[node] = index[t]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while not comp or comp[-1] != node:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    out.append(comp)
+    return out
+
+
+def _cyclic(comp, succ):
+    """Whether a strongly connected component contains a cycle."""
+    return len(comp) > 1 or comp[0] in succ(comp[0])
 
 
 class Dfa:
@@ -70,9 +175,6 @@ class Dfa:
     @property
     def n_states(self):
         return len(self.transitions)
-
-    def step(self, state, sym_id):
-        return self.transitions[state][sym_id]
 
     def run(self, word):
         """Final state reached on a DigitWord or iterable of digit tuples."""
@@ -163,34 +265,19 @@ def determinize(a, limit=None):
     start = 0
     for q in a.initials:
         start |= 1 << q
-    subset_ids = {start: 0}
-    order = [start]
-    trans = []
-    finals = set()
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        row = []
-        if subset & final_mask:
-            finals.add(i)
-        for s in range(nsym):
-            target = 0
-            rem = subset
-            while rem:
-                low = rem & -rem
-                target |= masks[low.bit_length() - 1][s]
-                rem ^= low
-            t_id = subset_ids.get(target)
-            if t_id is None:
-                t_id = len(order)
-                if limit is not None and t_id >= limit:
-                    raise StateLimit(f"determinization exceeded {limit} states")
-                subset_ids[target] = t_id
-                order.append(target)
-            row.append(t_id)
-        trans.append(row)
-        i += 1
-    return Dfa(a.base, a.arity, trans, 0, finals)
+    empty = [0] * nsym
+
+    def successors(subset):
+        row = empty
+        while subset:
+            low = subset & -subset
+            row = list(map(or_, row, masks[low.bit_length() - 1]))
+            subset ^= low
+        return row
+
+    subsets, rows = _explore(start, successors, limit)
+    return Dfa(a.base, a.arity, rows, 0,
+               {i for i, subset in enumerate(subsets) if subset & final_mask})
 
 
 def complement(a):
@@ -212,32 +299,11 @@ def product(a, b, op, limit=None):
     if a.base != b.base or a.arity != b.arity:
         raise ValueError("product requires matching base and arity")
     fn = _BOOL_OPS[op]
-    nsym = a.base ** a.arity
-    pair_ids = {(a.initial, b.initial): 0}
-    order = [(a.initial, b.initial)]
-    trans = []
-    finals = set()
-    i = 0
-    while i < len(order):
-        qa, qb = order[i]
-        if fn(qa in a.finals, qb in b.finals):
-            finals.add(i)
-        rowa = a.transitions[qa]
-        rowb = b.transitions[qb]
-        row = []
-        for s in range(nsym):
-            key = (rowa[s], rowb[s])
-            t = pair_ids.get(key)
-            if t is None:
-                t = len(order)
-                if limit is not None and t >= limit:
-                    raise StateLimit(f"product exceeded {limit} states")
-                pair_ids[key] = t
-                order.append(key)
-            row.append(t)
-        trans.append(row)
-        i += 1
-    return Dfa(a.base, a.arity, trans, 0, finals)
+    pairs, rows = _explore(
+        (a.initial, b.initial),
+        lambda pair: zip(a.transitions[pair[0]], b.transitions[pair[1]]), limit)
+    return Dfa(a.base, a.arity, rows, 0,
+               {i for i, (qa, qb) in enumerate(pairs) if fn(qa in a.finals, qb in b.finals)})
 
 
 def project(a, track):
@@ -260,44 +326,33 @@ def project_many(a, tracks):
     if len(tracks) >= a.arity:
         raise ValueError("cannot project every track; use is_empty instead")
     keep = [t for t in range(a.arity) if t not in tracks]
-    syms = sym_tuples(a.base, a.arity)
-    new_index = sym_index(a.base, len(keep))
+    mapping = _track_map(a.base, a.arity, keep)
     out = Nfa(a.base, len(keep), a.n_states, initials={a.initial: 1},
               finals={q: 1 for q in a.finals})
     for q in range(a.n_states):
-        row = a.transitions[q]
-        for s, sym in enumerate(syms):
-            reduced = new_index[tuple(sym[t] for t in keep)]
-            out.add_edge(q, reduced, row[s])
+        for s, t in enumerate(a.transitions[q]):
+            out.add_edge(q, mapping[s], t)
     return out
 
 
-def inflate(a, position):
-    """Insert a new, ignored track at the given position."""
-    if not 0 <= position <= a.arity:
-        raise IndexError(f"position {position} out of range for arity {a.arity}")
-    k = a.base
-    new_arity = a.arity + 1
-    new_syms = sym_tuples(k, new_arity)
-    old_index = sym_index(k, a.arity)
-    mapping = [old_index[s[:position] + s[position + 1:]] for s in new_syms]
+def inflate(a, *positions):
+    """Insert new, ignored tracks; positions are track indices of the result."""
+    arity = a.arity + len(positions)
+    if len(set(positions)) != len(positions) or not all(0 <= p < arity for p in positions):
+        raise IndexError(f"positions {positions} invalid for arity {a.arity}")
+    mapping = _track_map(a.base, arity, [t for t in range(arity) if t not in positions])
     trans = [[row[m] for m in mapping] for row in a.transitions]
-    return Dfa(k, new_arity, trans, a.initial, a.finals)
+    return Dfa(a.base, arity, trans, a.initial, a.finals)
 
 
 def permute_tracks(a, order):
     """Reorder tracks; order[i] is the old track placed at new position i."""
     if sorted(order) != list(range(a.arity)):
         raise ValueError(f"order {order} is not a permutation of the tracks")
-    old_index = sym_index(a.base, a.arity)
-    new_syms = sym_tuples(a.base, a.arity)
     inverse = [0] * a.arity
     for new_pos, old_pos in enumerate(order):
         inverse[old_pos] = new_pos
-    mapping = []
-    for s in new_syms:
-        old_sym = tuple(s[inverse[j]] for j in range(a.arity))
-        mapping.append(old_index[old_sym])
+    mapping = _track_map(a.base, a.arity, inverse)
     trans = [[row[m] for m in mapping] for row in a.transitions]
     return Dfa(a.base, a.arity, trans, a.initial, a.finals)
 
@@ -334,34 +389,18 @@ def pad_closure(a):
     finals1 = {q for q in range(a.n_states) if accept_via_zeros[q]}
     # Step 2: also accept w·0^j for accepted w.  Track a bit meaning "some
     # split of the input as u·0^j with u accepted exists"; deterministic.
-    nsym = a.base ** a.arity
-    ids = {}
-    order = []
-    trans = []
-    finals = set()
 
-    def state_id(q, bit):
-        sid = ids.get((q, bit))
-        if sid is None:
-            sid = len(order)
-            ids[(q, bit)] = sid
-            order.append((q, bit))
-        return sid
-
-    state_id(a.initial, a.initial in finals1)
-    i = 0
-    while i < len(order):
-        q, bit = order[i]
+    def successors(state):
+        q, bit = state
+        row = a.transitions[q]
+        out = [(t, t in finals1) for t in row]
         if bit:
-            finals.add(i)
-        row = []
-        for s in range(nsym):
-            t = a.transitions[q][s]
-            nbit = (t in finals1) or (bit and s == zero)
-            row.append(state_id(t, nbit))
-        trans.append(row)
-        i += 1
-    return minimize(Dfa(a.base, a.arity, trans, 0, finals))
+            out[zero] = (row[zero], True)
+        return out
+
+    states, rows = _explore((a.initial, a.initial in finals1), successors)
+    return minimize(Dfa(a.base, a.arity, rows, 0,
+                        {i for i, (_, bit) in enumerate(states) if bit}))
 
 
 def minimize(a):
@@ -373,15 +412,8 @@ def minimize(a):
     """
     nsym = a.base ** a.arity
     # Restrict to reachable states.
-    reach = [a.initial]
-    seen = {a.initial: 0}
-    for q in reach:
-        for t in a.transitions[q]:
-            if t not in seen:
-                seen[t] = len(reach)
-                reach.append(t)
-    trans = [[seen[a.transitions[q][s]] for s in range(nsym)] for q in reach]
-    finals = {seen[q] for q in a.finals if q in seen}
+    reach, trans = _explore(a.initial, a.transitions.__getitem__)
+    finals = {i for i, q in enumerate(reach) if q in a.finals}
     n = len(reach)
     # Hopcroft partition refinement.
     inverse = [[[] for _ in range(n)] for _ in range(nsym)]
@@ -431,24 +463,11 @@ def minimize(a):
                     worklist.append(smaller)
                     in_work.add(smaller)
     # Canonical BFS renumbering of the quotient.
-    start = block_of[0]
-    renum = {start: 0}
-    bfs = [start]
-    for b in bfs:
-        rep = next(iter(blocks[b]))
-        for s in range(nsym):
-            t = block_of[trans[rep][s]]
-            if t not in renum:
-                renum[t] = len(bfs)
-                bfs.append(t)
-    out_trans = []
-    out_finals = set()
-    for b in bfs:
-        rep = next(iter(blocks[b]))
-        out_trans.append([renum[block_of[trans[rep][s]]] for s in range(nsym)])
-        if rep in finals:
-            out_finals.add(renum[b])
-    return Dfa(a.base, a.arity, out_trans, 0, out_finals)
+    reps = [next(iter(blk)) for blk in blocks]
+    order, out_trans = _explore(
+        block_of[0], lambda b: [block_of[t] for t in trans[reps[b]]])
+    return Dfa(a.base, a.arity, out_trans, 0,
+               {i for i, b in enumerate(order) if reps[b] in finals})
 
 
 def is_empty(a):
@@ -483,59 +502,20 @@ def is_empty(a):
     return True, None
 
 
-def _trim_states(a):
-    """States both reachable from the initial state and co-reachable to a final."""
-    reach = {a.initial}
-    stack = [a.initial]
-    while stack:
-        q = stack.pop()
-        for t in a.transitions[q]:
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
+def is_finite(a):
+    """True iff L(a) is finite: no cycle runs through a state that is both
+    reachable from the initial state and co-reachable to a final one."""
+    reach = _reachable((a.initial,), a.transitions.__getitem__)
     pre = [[] for _ in range(a.n_states)]
     for q in reach:
         for t in a.transitions[q]:
             pre[t].append(q)
-    co = set(f for f in a.finals if f in reach)
-    stack = list(co)
-    while stack:
-        q = stack.pop()
-        for p in pre[q]:
-            if p not in co:
-                co.add(p)
-                stack.append(p)
-    return reach & co
+    useful = _reachable([f for f in a.finals if f in reach], pre.__getitem__)
 
+    def succ(q):
+        return [t for t in a.transitions[q] if t in useful]
 
-def is_finite(a):
-    """True iff L(a) is finite: the trimmed automaton has no cycle."""
-    useful = _trim_states(a)
-    color = {}
-
-    for root in useful:
-        if root in color:
-            continue
-        stack = [(root, iter(a.transitions[root]))]
-        color[root] = 1
-        while stack:
-            q, it = stack[-1]
-            advanced = False
-            for t in it:
-                if t not in useful:
-                    continue
-                c = color.get(t)
-                if c == 1:
-                    return False
-                if c is None:
-                    color[t] = 1
-                    stack.append((t, iter(a.transitions[t])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[q] = 2
-                stack.pop()
-    return True
+    return not any(_cyclic(comp, succ) for comp in _sccs(useful, succ))
 
 
 def equivalent(a, b):
@@ -552,17 +532,7 @@ def eps_eliminate(a):
 
     Path counts are not preserved; use regseq.eps_saturate when they matter.
     """
-    closures = []
-    for q in range(a.n_states):
-        cl = {q}
-        stack = [q]
-        while stack:
-            p = stack.pop()
-            for t in a.eps[p]:
-                if t not in cl:
-                    cl.add(t)
-                    stack.append(t)
-        closures.append(cl)
+    closures = [_reachable((q,), a.eps.__getitem__) for q in range(a.n_states)]
     out = Nfa(a.base, a.arity, a.n_states,
               initials=dict(a.initials), finals=dict(a.finals))
     for q in range(a.n_states):

@@ -127,19 +127,6 @@ _CONJECTURED_SYSTEM = [
 ]
 
 
-def _relation_text(lhs, combo):
-    def term(mc):
-        m, c = mc
-        return f"f({m}n+{c})" if c else f"f({m}n)"
-
-    parts = []
-    for mc, coef in combo.items():
-        body = term(mc) if abs(coef) == 1 else f"{abs(coef)}*{term(mc)}"
-        parts.append(("- " if coef < 0 else "+ ") + body)
-    rhs = " ".join(parts).lstrip("+ ")
-    return f"{term(lhs)} = {rhs}"
-
-
 def cmd_verify_conjecture(args):
     session = Session(args.seq, args.max_states, args.base)
     tm = session.sequence("tm")
@@ -172,7 +159,7 @@ def cmd_verify_conjecture(args):
     for lhs, combo in _CONJECTURED_SYSTEM:
         ok = regseq.verify_relation(rep, lhs, combo)
         verdicts.append(ok)
-        print(f"{'VERIFIED' if ok else 'FAILS  '}  {_relation_text(lhs, combo)}")
+        print(f"{'VERIFIED' if ok else 'FAILS  '}  {regseq.Relation(lhs, combo)}")
     print(f"({time.time()-t0:.2f}s)")
     all_good = same and not sample_bad and all(verdicts)
     return EXIT_OK if all_good else EXIT_FALSE

@@ -609,43 +609,20 @@ def _linear_atom(k, coeffs, const, mode, cfg):
     names = tuple(sorted(coeffs))
     weights = [coeffs[v] for v in names]
     arity = len(names)
-    syms = sym_tuples(k, arity)
-    dots = [sum(w * d for w, d in zip(weights, sym)) for sym in syms]
-    ids = {const: 0}
-    order = [const]
-    rows = []
-    sink = None
-    i = 0
-    while i < len(order):
-        gamma = order[i]
-        i += 1
+    dots = [sum(w * d for w, d in zip(weights, sym)) for sym in sym_tuples(k, arity)]
+
+    def successors(gamma):
         if gamma is None:  # dead state
-            rows.append([sink] * len(syms))
-            continue
-        row = []
-        for dot in dots:
-            total = gamma + dot
-            if mode == "eq":
-                if total % k != 0:
-                    if sink is None:
-                        sink = len(order)
-                        order.append(None)
-                    row.append(sink)
-                    continue
-                nxt = total // k
-            else:
-                nxt = -((-total) // k)
-            t = ids.get(nxt)
-            if t is None:
-                t = len(order)
-                ids[nxt] = t
-                order.append(nxt)
-            row.append(t)
-        rows.append(row)
+            return [None] * len(dots)
+        if mode == "eq":
+            return [None if (gamma + dot) % k else (gamma + dot) // k for dot in dots]
+        return [-((-gamma - dot) // k) for dot in dots]
+
+    carries, rows = automata._explore(const, successors)
     if mode == "eq":
-        finals = {ids[0]} if 0 in ids else set()
+        finals = {i for i, g in enumerate(carries) if g == 0}
     else:
-        finals = {sid for g, sid in ids.items() if g <= 0}
+        finals = {i for i, g in enumerate(carries) if g is not None and g <= 0}
     dfa = cfg.note(minimize(Dfa(k, arity, rows, 0, finals)))
     return dfa, names
 
@@ -653,30 +630,16 @@ def _linear_atom(k, coeffs, const, mode, cfg):
 def _seq_pair_dfa(x, y, op, same_track, cfg):
     """Product of two DFAOs comparing final outputs; one or two tracks."""
     k = x.base
-    pair_ids = {(x.initial, y.initial): 0}
-    order = [(x.initial, y.initial)]
-    rows = []
-    finals = set()
     if same_track:
         symlist = [(d, d) for d in range(k)]
     else:
         symlist = [(d1, d2) for d1 in range(k) for d2 in range(k)]
-    i = 0
-    while i < len(order):
-        qx, qy = order[i]
-        if _cmp_outputs(x.outputs[qx], y.outputs[qy], op):
-            finals.add(i)
-        row = []
-        for d1, d2 in symlist:
-            key = (x.transitions[qx][d1], y.transitions[qy][d2])
-            t = pair_ids.get(key)
-            if t is None:
-                t = len(order)
-                pair_ids[key] = t
-                order.append(key)
-            row.append(t)
-        rows.append(row)
-        i += 1
+    pairs, rows = automata._explore(
+        (x.initial, y.initial),
+        lambda pair: [(x.transitions[pair[0]][d1], y.transitions[pair[1]][d2])
+                      for d1, d2 in symlist])
+    finals = {i for i, (qx, qy) in enumerate(pairs)
+              if _cmp_outputs(x.outputs[qx], y.outputs[qy], op)}
     return cfg.note(minimize(Dfa(k, 1 if same_track else 2, rows, 0, finals)))
 
 
@@ -723,14 +686,10 @@ class _Compiler:
     # -- helpers over (dfa, vars) pairs ------------------------------------
 
     def align(self, a, avars, want):
-        cur = list(avars)
-        for i, v in enumerate(want):
-            if i >= len(cur) or cur[i] != v:
-                a = inflate(a, i)
-                cur.insert(i, v)
-        if tuple(cur) != tuple(want):
+        if tuple(v for v in want if v in avars) != tuple(avars):
             raise AssertionError("track alignment failed")
-        return self.cfg.note(a)
+        missing = [i for i, v in enumerate(want) if v not in avars]
+        return self.cfg.note(inflate(a, *missing) if missing else a)
 
     def combine(self, a, avars, b, bvars, op):
         want = tuple(sorted(set(avars) | set(bvars)))
@@ -817,18 +776,10 @@ class _Compiler:
             dfa, vars_ = self.combine(*a, *b, "xor")
             return complement(dfa), vars_
         if isinstance(f, Exists):
-            names = []
-            body = f
-            while isinstance(body, Exists):
-                names.append(body.var)
-                body = body.body
+            names, body = _leading_block(f, Exists)
             return self.exists_many(names, self.compile(body))
         if isinstance(f, Forall):
-            names = []
-            body = f
-            while isinstance(body, Forall):
-                names.append(body.var)
-                body = body.body
+            names, body = _leading_block(f, Forall)
             return self.negate(self.exists_many(names, self.negate(self.compile(body))))
         raise TypeError(f"not a formula node: {f!r}")
 
@@ -935,10 +886,7 @@ class _Compiler:
             equations.extend(eqs)
             freshvars.extend(fresh)
         want = tuple(sorted(set(argvars)))
-        old_index = automata.sym_index(dfa.base, dfa.arity)
-        new_syms = sym_tuples(dfa.base, len(want))
-        positions = [want.index(v) for v in argvars]
-        mapping = [old_index[tuple(s[p] for p in positions)] for s in new_syms]
+        mapping = automata._track_map(dfa.base, len(want), [want.index(v) for v in argvars])
         rows = [[row[m] for m in mapping] for row in dfa.transitions]
         core = self.cfg.note(minimize(
             Dfa(dfa.base, len(want), rows, dfa.initial, dfa.finals)))
@@ -991,6 +939,15 @@ class Decision:
         return f"<Decision {self.value}{extra}>"
 
 
+def _leading_block(f, kind):
+    """Variables of the leading block of `kind` quantifiers, and its body."""
+    names = []
+    while isinstance(f, kind):
+        names.append(f.var)
+        f = f.body
+    return names, f
+
+
 def _assignment_from_word(word, vars_):
     return {v: decode_lsd(project_track(word, i)) for i, v in enumerate(vars_)}
 
@@ -1007,37 +964,21 @@ def decide(f, env, config=None):
     value = comp.compile(f)
     if not isinstance(value, bool):
         raise AssertionError("sentence compiled to an automaton")
-    leading = []
-    body = f
-    while isinstance(body, Exists):
-        leading.append(body.var)
-        body = body.body
-    if value and leading:
-        inner = comp.compile(body)
-        if isinstance(inner, bool):
-            return Decision(True, witness={v: 0 for v in leading})
+    # A true sentence may lead with E, a false one with A: the leading block
+    # then gets a witness or a counterexample.
+    leading, body = _leading_block(f, Exists if value else Forall)
+    if not leading:
+        return Decision(value)
+    inner = comp.compile(body if value else Not(body))
+    assignment = {}
+    if not isinstance(inner, bool):
         dfa, vars_ = inner
-        _, word = is_empty(dfa)
-        assignment = _assignment_from_word(word, vars_)
-        for v in leading:
-            assignment.setdefault(v, 0)
+        assignment = _assignment_from_word(is_empty(dfa)[1], vars_)
+    for v in leading:
+        assignment.setdefault(v, 0)
+    if value:
         return Decision(True, witness=assignment)
-    leading = []
-    body = f
-    while isinstance(body, Forall):
-        leading.append(body.var)
-        body = body.body
-    if not value and leading:
-        inner = comp.compile(Not(body))
-        if isinstance(inner, bool):
-            return Decision(False, counterexample={v: 0 for v in leading})
-        dfa, vars_ = inner
-        _, word = is_empty(dfa)
-        assignment = _assignment_from_word(word, vars_)
-        for v in leading:
-            assignment.setdefault(v, 0)
-        return Decision(False, counterexample=assignment)
-    return Decision(value)
+    return Decision(False, counterexample=assignment)
 
 
 def characteristic(f, env, config=None):

@@ -176,10 +176,6 @@ class InfDecomposition:
     finite_part: LinRep
 
 
-def evaluate(l, n):
-    return l.evaluate(n)
-
-
 def zero_rep(base, semiring="nat"):
     zero = Fraction(0) if semiring == "rat" else 0
     return LinRep(semiring, base, (zero,), tuple(((zero,),) for _ in range(base)), (zero,))
@@ -267,64 +263,15 @@ def nfa_from_linrep(l):
 # ---------------------------------------------------------------------------
 # Exact epsilon saturation
 
-def _tarjan_sccs(n, succ):
-    """SCCs in reverse topological order (every SCC before its predecessors)."""
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    sccs = []
-    counter = [0]
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for t in it:
-                if index[t] is None:
-                    index[t] = low[t] = counter[0]
-                    counter[0] += 1
-                    stack.append(t)
-                    on_stack[t] = True
-                    work.append((t, iter(succ[t])))
-                    advanced = True
-                    break
-                elif on_stack[t]:
-                    if index[t] < low[node]:
-                        low[node] = index[t]
-            if not advanced:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == node:
-                            break
-                    sccs.append(comp)
-    return sccs
-
-
 def _eps_star(n, eps):
     """D = sum of all epsilon-path weights; entry INF iff some connecting
     path passes through an epsilon cycle."""
     succ = [list(eps[q].keys()) for q in range(n)]
-    sccs = _tarjan_sccs(n, succ)
+    sccs = automata._sccs(range(n), succ.__getitem__)
     scc_of = [0] * n
     cyclic = [False] * n
     for ci, comp in enumerate(sccs):
-        has_cycle = len(comp) > 1 or any(q in eps[q] for q in comp)
+        has_cycle = automata._cyclic(comp, succ.__getitem__)
         for q in comp:
             scc_of[q] = ci
             cyclic[q] = has_cycle
@@ -416,26 +363,12 @@ def trim_nfa(a):
         for row in a.steps[q].values():
             fwd[q].update(row)
         fwd[q].update(a.eps[q])
-    reach = set(a.initials)
-    stack = list(a.initials)
-    while stack:
-        q = stack.pop()
-        for t in fwd[q]:
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
+    reach = automata._reachable(a.initials, fwd.__getitem__)
     back = [set() for _ in range(a.n_states)]
-    for q in range(a.n_states):
+    for q in reach:
         for t in fwd[q]:
             back[t].add(q)
-    useful = {q for q in a.finals if q in reach}
-    stack = list(useful)
-    while stack:
-        q = stack.pop()
-        for t in back[q]:
-            if t in reach and t not in useful:
-                useful.add(t)
-                stack.append(t)
+    useful = automata._reachable([q for q in a.finals if q in reach], back.__getitem__)
     keep = sorted(useful)
     renum = {q: i for i, q in enumerate(keep)}
     out = Nfa(a.base, a.arity, len(keep),
@@ -523,33 +456,15 @@ def decompose_infinity(l, limit=1_000_000):
     k = l.base
     mhat = [[tuple(_tau(x) for x in row) for row in m] for m in l.mats]
     vhat = tuple(_tau(x) for x in l.v)
-    start = tuple(_tau(x) for x in l.u)
-    ids = {start: 0}
-    order = [start]
-    rows = []
-    finals = set()
-    i = 0
-    while i < len(order):
-        row = order[i]
-        if max((_rp_mul(row[j], vhat[j]) for j in range(len(row))), default=0) == _RP_INF:
-            finals.add(i)
-        table_row = []
-        for d in range(k):
-            m = mhat[d]
-            nxt = tuple(
-                max((_rp_mul(row[x], m[x][j]) for x in range(len(row))), default=0)
-                for j in range(len(row)))
-            t = ids.get(nxt)
-            if t is None:
-                t = len(order)
-                if limit is not None and t >= limit:
-                    raise automata.StateLimit(
-                        f"infinity-locus exploration exceeded {limit} rows")
-                ids[nxt] = t
-                order.append(nxt)
-            table_row.append(t)
-        rows.append(table_row)
-        i += 1
+    r = len(vhat)
+
+    def successors(row):
+        return [tuple(max((_rp_mul(row[x], m[x][j]) for x in range(r)), default=0)
+                      for j in range(r)) for m in mhat]
+
+    found, rows = automata._explore(tuple(_tau(x) for x in l.u), successors, limit)
+    finals = {i for i, row in enumerate(found)
+              if max((_rp_mul(row[j], vhat[j]) for j in range(r)), default=0) == _RP_INF}
     dfa = minimize(Dfa(k, 1, rows, 0, finals))
     finite = LinRep("nat", k, tuple(_xi(x) for x in l.u),
                     tuple(tuple(tuple(_xi(x) for x in row) for row in m) for m in l.mats),
@@ -646,13 +561,19 @@ def _unique_representative_nfa(p):
     return nfa
 
 
-def _attach_decomposition(rep):
+def _count_series(nfa, k):
+    """Path-counting series of a trimmed epsilon NFA with its infinity-locus
+    decomposition attached; over the naturals when every value is finite."""
+    if nfa.n_states == 0:
+        out = zero_rep(k)
+        out.inf_part = InfDecomposition(
+            minimize(Dfa(k, 1, [[0] * k], 0, set())), zero_rep(k))
+        return out
+    rep = linrep_from_nfa(eps_saturate(nfa))
     dec = decompose_infinity(rep)
     empty, _ = automata.is_empty(dec.infinite_part)
     if empty:
-        out = dec.finite_part
-        out.inf_part = dec
-        return out
+        rep = dec.finite_part
     rep.inf_part = dec
     return rep
 
@@ -671,14 +592,7 @@ def count_parameter(p):
     same, witness = equivalent(pmin, pad_closure(pmin))
     if not same:
         raise ValueError(f"automaton is not pad-closed (differs at {witness})")
-    nfa = trim_nfa(_unique_representative_nfa(pmin))
-    if nfa.n_states == 0:
-        out = zero_rep(p.base)
-        out.inf_part = InfDecomposition(
-            minimize(Dfa(p.base, 1, [[0] * p.base], 0, set())), zero_rep(p.base))
-        return out
-    rep = linrep_from_nfa(eps_saturate(nfa))
-    return _attach_decomposition(rep)
+    return _count_series(trim_nfa(_unique_representative_nfa(pmin)), p.base)
 
 
 def count_measure(p, sample_limit=24):
@@ -716,58 +630,33 @@ def representation_count(digit_set, k):
     # phases: 0 start, 1 last guess zero, 2 last guess nonzero,
     #         3 string finished (consuming padded input),
     #         4/5 tail guesses past the input end (last zero / nonzero)
-    ids = {(0, 0): 0}
-    order = [(0, 0)]
-    edges = []  # (src, digit-or-None, dst)
-
-    def state(c, ph):
-        sid = ids.get((c, ph))
-        if sid is None:
-            sid = len(order)
-            ids[(c, ph)] = sid
-            order.append((c, ph))
-        return sid
-
-    i = 0
-    while i < len(order):
-        c, ph = order[i]
-        src = i
-        i += 1
+    def moves(state):
+        """[(digit, or None for an epsilon move, next state)]."""
+        c, ph = state
+        out = []
         if ph in (0, 1, 2):
             for d in range(k):
-                for e in digit_set:
-                    if (c + e - d) % k == 0:
-                        edges.append((src, d, state((c + e - d) // k, 1 if e == 0 else 2)))
+                out += [(d, ((c + e - d) // k, 1 if e == 0 else 2))
+                        for e in digit_set if (c + e - d) % k == 0]
                 if ph in (0, 2) and (c - d) % k == 0:
-                    edges.append((src, d, state((c - d) // k, 3)))
-            for e in digit_set:
-                if (c + e) % k == 0:
-                    edges.append((src, None, state((c + e) // k, 4 if e == 0 else 5)))
+                    out.append((d, ((c - d) // k, 3)))
         elif ph == 3:
-            for d in range(k):
-                if (c - d) % k == 0:
-                    edges.append((src, d, state((c - d) // k, 3)))
-        else:
-            for e in digit_set:
-                if (c + e) % k == 0:
-                    edges.append((src, None, state((c + e) // k, 4 if e == 0 else 5)))
-    nfa = Nfa(k, 1, len(order), initials={0: 1}, finals={})
-    for sid, (c, ph) in enumerate(order):
-        if c == 0 and ph in (0, 2, 3, 5):
-            nfa.finals[sid] = 1
-    for src, d, dst in edges:
-        if d is None:
-            nfa.add_eps(src, dst)
-        else:
-            nfa.add_edge(src, d, dst)
-    nfa = trim_nfa(nfa)
-    if nfa.n_states == 0:
-        out = zero_rep(k)
-        out.inf_part = InfDecomposition(
-            minimize(Dfa(k, 1, [[0] * k], 0, set())), zero_rep(k))
+            out += [(d, ((c - d) // k, 3)) for d in range(k) if (c - d) % k == 0]
+        if ph != 3:
+            out += [(None, ((c + e) // k, 4 if e == 0 else 5))
+                    for e in digit_set if (c + e) % k == 0]
         return out
-    rep = linrep_from_nfa(eps_saturate(nfa))
-    return _attach_decomposition(rep)
+
+    states, rows = automata._explore((0, 0), lambda st: [t for _, t in moves(st)])
+    nfa = Nfa(k, 1, len(states), initials={0: 1},
+              finals={i: 1 for i, (c, ph) in enumerate(states) if c == 0 and ph in (0, 2, 3, 5)})
+    for src, (state, row) in enumerate(zip(states, rows)):
+        for (d, _), dst in zip(moves(state), row):
+            if d is None:
+                nfa.add_eps(src, dst)
+            else:
+                nfa.add_edge(src, d, dst)
+    return _count_series(trim_nfa(nfa), k)
 
 
 # ---------------------------------------------------------------------------

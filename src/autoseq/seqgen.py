@@ -81,10 +81,6 @@ class Dfao:
         return f"<Dfao base={self.base} states={self.n_states}>"
 
 
-def evaluate(s, n):
-    return s.evaluate(n)
-
-
 def thue_morse():
     """The Thue-Morse sequence: parity of the binary digit sum."""
     return Dfao(2, [[0, 1], [1, 0]], 0, [0, 1])

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from autoseq.automata import (Dfa, Nfa, complement, determinize, eps_eliminate,
-                              equivalent, inflate, is_empty, is_finite, load,
-                              minimize, pad_closure, permute_tracks, product,
-                              project, store)
+from autoseq.automata import (Dfa, Nfa, StateLimit, _explore, _sccs, complement,
+                              determinize, eps_eliminate, equivalent, inflate,
+                              is_empty, is_finite, load, minimize, pad_closure,
+                              permute_tracks, product, project, project_many, store)
 from autoseq.numeration import DigitWord
 
 
@@ -203,6 +203,7 @@ def test_store_load_roundtrip():
 
 def test_random_projection_inflation_roundtrip():
     rng = random.Random(42)
+    pick = random.Random(7)  # separate stream: the single-track draws stay as they were
     for _ in range(25):
         n = rng.randrange(1, 6)
         rows = [[rng.randrange(n) for _ in range(4)] for _ in range(n)]
@@ -213,3 +214,56 @@ def test_random_projection_inflation_roundtrip():
         back = pad_closure(determinize(project(grown, t)))
         eq, cex = equivalent(back, pad_closure(a))
         assert eq, (rows, finals, t, cex)
+        # several tracks in one rebuild equal one track at a time
+        positions = sorted(pick.sample(range(4), 2))
+        grown2 = inflate(a, *positions)
+        assert grown2 == inflate(inflate(a, positions[0]), positions[1])
+        back2 = pad_closure(determinize(project_many(grown2, positions)))
+        eq, cex = equivalent(back2, pad_closure(a))
+        assert eq, (rows, finals, positions, cex)
+
+
+def test_explore_numbers_fifo_and_stops_at_limit():
+    keys, rows = _explore(0, lambda q: [(2 * q) % 5, (q + 3) % 5])
+    assert keys == [0, 3, 1, 2, 4]
+    assert rows == [[0, 1], [2, 2], [3, 4], [4, 0], [1, 3]]
+    assert _explore(0, lambda q: [(q + 1) % 5], limit=5)[0] == [0, 1, 2, 3, 4]
+    with pytest.raises(StateLimit):
+        _explore(0, lambda q: [(q + 1) % 5], limit=4)
+    # the limit counts states: key number `limit` is the first one refused
+    seen = []
+    with pytest.raises(StateLimit):
+        _explore(0, lambda q: seen.append(q) or [q + 1], limit=3)
+    assert seen == [0, 1, 2]
+
+
+def _mutually_reachable(n, edges):
+    reach = [{q} for q in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for q in range(n):
+            new = set().union(*(reach[t] for t in edges[q])) - reach[q]
+            if new:
+                reach[q] |= new
+                changed = True
+    return reach
+
+
+def test_sccs_against_brute_force():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        edges = [sorted({rng.randrange(n) for _ in range(rng.randrange(3))})
+                 for _ in range(n)]  # includes self-loops and isolated nodes
+        comps = _sccs(range(n), edges.__getitem__)
+        assert sorted(q for comp in comps for q in comp) == list(range(n))
+        reach = _mutually_reachable(n, edges)
+        comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
+        for p in range(n):
+            for q in range(n):
+                same = q in reach[p] and p in reach[q]
+                assert (comp_of[p] == comp_of[q]) == same, (edges, comps)
+        # reverse topological order: an edge never leads to a later component
+        for p in range(n):
+            assert all(comp_of[q] <= comp_of[p] for q in edges[p]), (edges, comps)
