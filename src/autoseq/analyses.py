@@ -16,6 +16,7 @@ from .automata import Dfa, Nfa, minimize, pad_closure, permute_tracks, is_empty,
 from .logic import (parse, compile as compile_formula, decide, characteristic,
                     CompileConfig, Var, Add, Compare, Not, And, Implies, Iff,
                     Forall, Call)
+from .numeration import decode_lsd, project_track
 from .seqgen import prefix
 
 ANCHORED_KINDS = {
@@ -335,20 +336,22 @@ def factor_set_compare(x, y, config=None):
     tower = f"2^(2^(2^(2*{q}^2)))"
     if sub_xy and sub_yx:
         return FactorComparison(True, True, True, None, None, tower)
-    missing_x = "E i (A j (E t (t < n) & (x[i+t] != y[j+t])))"   # x-factor not in y
-    missing_y = "E i (A j (E t (t < n) & (y[i+t] != x[j+t])))"
-    diff = compile_formula(parse(f"({missing_x}) | ({missing_y})"), env, cfg)
-    _, word = is_empty(diff)
-    n0 = 0
-    for sym in reversed(word.symbols):
-        n0 = n0 * diff.base + sym[0]
-    side, seqs = ("x", (x, y)) if not sub_xy else ("y", (y, x))
-    a, b = seqs
-    env2 = {"x": a, "y": b}
+    # The shortest factor of one sequence missing from the other; x wins ties.
+    missing = "E i (A j (E t (t < n) & (x[i+t] != y[j+t])))"
+    found = []
+    for side, a, b, contained in (("x", x, y, sub_xy), ("y", y, x, sub_yx)):
+        if not contained:
+            dfa = compile_formula(parse(missing), {"x": a, "y": b}, cfg)
+            # Missing lengths are upward closed, and the shortest accepted
+            # word need not encode the least of them: bisect below it.
+            lo, n0 = 0, decode_lsd(project_track(is_empty(dfa)[1], 0))
+            while lo < n0:
+                mid = (lo + n0) // 2
+                lo, n0 = (lo, mid) if dfa.accepts_values((mid,)) else (mid + 1, n0)
+            found.append((n0, side, a, b))
+    n0, side, a, b = min(found, key=lambda f: f[0])
     g = parse(f"(n = {n0}) & (A j (E t (t < n) & (x[i+t] != y[j+t])))")
-    gdfa = compile_formula(g, env2, cfg)
-    _, w2 = is_empty(gdfa)
-    from .numeration import decode_lsd, project_track
+    _, w2 = is_empty(compile_formula(g, {"x": a, "y": b}, cfg))
     i0 = decode_lsd(project_track(w2, 0))
     factor = tuple(prefix(a, i0 + n0)[i0:])
     return FactorComparison(False, sub_xy, sub_yx, n0, (side, factor), tower)

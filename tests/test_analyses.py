@@ -20,6 +20,15 @@ PERIOD2 = Dfao(2, [[1, 2], [1, 1], [2, 2]], 0, [0, 0, 1])
 SWAPPED = Dfao(2, TM.transitions, TM.initial, [1, 0])
 
 
+def periodic(word):
+    """Base-2 Dfao for the purely periodic sequence word^w; a state holds
+    (value so far mod p, 2^digits mod p)."""
+    p = len(word)
+    trans = [[((r + d * w) % p) * p + (2 * w) % p for d in (0, 1)]
+             for r in range(p) for w in range(p)]
+    return Dfao(2, trans, 1, [word[r] for r in range(p) for _ in range(p)])
+
+
 def test_indicator_square_begin():
     ind = indicator(TM, "square", "begin")
     w = CTX.word
@@ -225,6 +234,17 @@ def test_factor_set_compare():
     # 000 out of the Thue-Morse word
     assert not cmp3.x_subset_of_y and not cmp3.y_subset_of_x
     assert cmp3.tower_bound == "2^(2^(2^(2*2^2)))"
+    # 00 is the shortest factor of 0^w missing from 0101..., but 1 is a
+    # shorter one the other way, so the y side is reported
+    cmp4 = factor_set_compare(CONST0, PERIOD2)
+    assert cmp4.distinguishing_length == 1
+    assert cmp4.distinguishing_factor == ("y", (1,))
+    # (00001)^w and (000001)^w: 100001 is missing one way, 00000 the other.
+    # Lengths 5, 6, 7 all encode in 3 binary digits and the lex-least word
+    # among them is 011 = 6, so the length must not be read off that word.
+    cmp5 = factor_set_compare(periodic([0, 0, 0, 0, 1]), periodic([0, 0, 0, 0, 0, 1]))
+    assert cmp5.distinguishing_length == 5
+    assert cmp5.distinguishing_factor == ("y", (0, 0, 0, 0, 0))
 
 
 def test_linear_complexity_check():
