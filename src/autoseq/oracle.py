@@ -298,9 +298,14 @@ def overlap_free(word):
     length = len(bits)
     value = int(bits, 2) if length else 0
     for q in range(1, (length - 1) // 2 + 1):
-        x = value ^ (value >> q)
-        # position c >= q of the bitmap compares word[c] with word[c-q]
-        window = format(x, f"0{length}b")[q:]
-        if "0" * (q + 1) in window:
+        # bit i < length - q is set iff word[c] = word[c-q] at c = length-1-i
+        runs = ~(value ^ (value >> q)) & ((1 << (length - q)) - 1)
+        # keep bit i while bits i .. i+run-1 are all set, doubling run up to q+1
+        run = 1
+        while runs and run < q + 1:
+            step = min(run, q + 1 - run)
+            runs &= runs >> step
+            run += step
+        if runs:
             return False
     return True

@@ -69,24 +69,37 @@ class _Infinity:
 INF = _Infinity()
 
 
-def _vec_mat(u, m):
-    n = len(m[0]) if m else 0
-    return tuple(sum(u[i] * m[i][j] for i in range(len(u))) for j in range(n))
+def _sparse(m):
+    """Nonzero (column, value) pairs of each row of a dense matrix."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
 
 
-def _mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+def _vec_mat(u, rows):
+    """u . M for M given by its sparse rows.  Zero terms are skipped rather
+    than multiplied, so 0 * inf = 0 holds without a special case."""
+    out = [0] * len(rows)
+    for x, row in zip(u, rows):
+        if x:
+            for j, y in row:
+                out[j] += x * y
+    return tuple(out)
 
 
-def _mat_mul(a, b):
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(a_row[x] * b[x][j] for x in range(len(b))) for j in range(cols))
-        for a_row in a)
+def _mat_vec(rows, v):
+    """M . v for M given by its sparse rows."""
+    return tuple(sum(y * v[j] for j, y in row) for row in rows)
 
 
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
+
+
+def _entries(u, mats, v):
+    yield from u
+    for m in mats:
+        for row in m:
+            yield from row
+    yield from v
 
 
 def _transpose(m):
@@ -108,6 +121,7 @@ class LinRep:
         self.mats = tuple(tuple(tuple(row) for row in m) for m in mats)
         self.v = tuple(v)
         self.inf_part = None  # optional InfDecomposition, set by producers
+        self._view = None     # rational view, built on first use by _rational_view
         r = len(self.u)
         if len(self.mats) != base:
             raise ValueError(f"need one matrix per digit, got {len(self.mats)}")
@@ -116,15 +130,9 @@ class LinRep:
                 raise ValueError("matrix rank mismatch")
         if len(self.v) != r:
             raise ValueError("vector rank mismatch")
-        for entry in self._entries():
+        for entry in _entries(self.u, self.mats, self.v):
             self._check_entry(entry)
-
-    def _entries(self):
-        yield from self.u
-        for m in self.mats:
-            for row in m:
-                yield from row
-        yield from self.v
+        self._rows = tuple(_sparse(m) for m in self.mats)
 
     def _check_entry(self, x):
         if self.semiring == "nat":
@@ -145,7 +153,7 @@ class LinRep:
         """Value of the series at an lsd-first digit sequence."""
         row = self.u
         for d in digits:
-            row = _vec_mat(row, self.mats[d])
+            row = _vec_mat(row, self._rows[d])
         return _dot(row, self.v)
 
     def evaluate(self, n):
@@ -154,10 +162,10 @@ class LinRep:
 
     def trailing_normalized(self):
         """Whether mu(0) . v = v holds structurally."""
-        return _mat_vec(self.mats[0], self.v) == self.v
+        return _mat_vec(self._rows[0], self.v) == self.v
 
     def leading_normalized(self):
-        return _vec_mat(self.u, self.mats[0]) == self.u
+        return _vec_mat(self.u, self._rows[0]) == self.u
 
     def __eq__(self, other):
         return (isinstance(other, LinRep)
@@ -205,16 +213,8 @@ def linrep_from_nfa(a):
             for t, mult in a.steps[q].get(d, {}).items():
                 m[q][t] = mult
         mats.append(m)
-    semiring = "natinf" if any(isinstance(x, _Infinity) for x in _iter_all(u, mats, v)) else "nat"
+    semiring = "natinf" if any(isinstance(x, _Infinity) for x in _entries(u, mats, v)) else "nat"
     return LinRep(semiring, a.base, u, mats, v)
-
-
-def _iter_all(u, mats, v):
-    yield from u
-    for m in mats:
-        for row in m:
-            yield from row
-    yield from v
 
 
 def _rank_pad(l):
@@ -223,10 +223,10 @@ def _rank_pad(l):
     u2 = (1,) + (0,) * (r + 1)
     v2 = (0,) * (r + 1) + (1,)
     mats2 = []
-    for m in l.mats:
-        um = _vec_mat(l.u, m)
+    for m, rows in zip(l.mats, l._rows):
+        um = _vec_mat(l.u, rows)
         umv = _dot(um, l.v)
-        mv = _mat_vec(m, l.v)
+        mv = _mat_vec(rows, l.v)
         top = (0,) + um + (umv,)
         middle = [(0,) + m[i] + (mv[i],) for i in range(r)]
         bottom = (0,) * (r + 2)
@@ -330,7 +330,7 @@ def eps_saturate(a):
     if not a.has_eps():
         return a
     n = a.n_states
-    d = _eps_star(n, a.eps)
+    d = _sparse(_eps_star(n, a.eps))
     out = Nfa(a.base, a.arity, n, initials=dict(a.initials), finals={})
     v = [a.finals.get(q, 0) for q in range(n)]
     new_v = _mat_vec(d, v)
@@ -342,11 +342,7 @@ def eps_saturate(a):
         # mu(s) = D . D_s, rows computed sparsely
         for q in range(n):
             acc = {}
-            row = d[q]
-            for mid in range(n):
-                w = row[mid]
-                if w == 0:
-                    continue
+            for mid, w in d[q]:
                 for t, mult in a.steps[mid].get(s, {}).items():
                     prev = acc.get(t, 0)
                     acc[t] = prev + w * mult
@@ -662,15 +658,21 @@ def representation_count(digit_set, k):
 # ---------------------------------------------------------------------------
 # Kernel relations
 
-def _to_rat(l):
-    if l.semiring == "natinf":
-        if any(isinstance(x, _Infinity) for x in l._entries()):
+def _rational_view(l):
+    """(u, sparse rows, observability basis) of the series, built once per
+    LinRep and shared by kernel_relations and every verify_relation.
+
+    u and the rows are those of the trailing-normalized representation and
+    keep its integer entries; only the basis is rational, so kernel rows
+    stay integers until their dot products with it.
+    """
+    if l._view is None:
+        if l.semiring == "natinf" and any(
+                isinstance(x, _Infinity) for x in _entries(l.u, l.mats, l.v)):
             raise ValueError("kernel relations need a series without infinities")
-    conv = Fraction
-    return LinRep("rat", l.base,
-                  tuple(conv(x) for x in l.u),
-                  tuple(tuple(tuple(conv(x) for x in row) for row in m) for m in l.mats),
-                  tuple(conv(x) for x in l.v))
+        g = l if l.trailing_normalized() else normalize_trailing(l)
+        l._view = (g.u, g._rows, _observability_basis(g.v, g._rows))
+    return l._view
 
 
 def _echelon_insert(basis, vec):
@@ -691,41 +693,45 @@ def _echelon_insert(basis, vec):
     return False
 
 
-def _observability_basis(l):
-    """Basis of span{ mu(w) v : w }, closed under left products."""
+def _observability_basis(v, mats):
+    """Basis of span{ mu(w) v : w } over Q, closed under left products;
+    mats are the sparse rows of each mu(d)."""
     basis = []
     queue = []
-    if _echelon_insert(basis, l.v):
-        queue.append(l.v)
+    v = tuple(Fraction(x) for x in v)
+    if _echelon_insert(basis, v):
+        queue.append(v)
     while queue:
         vec = queue.pop()
-        for m in l.mats:
-            nxt = _mat_vec(m, vec)
+        for rows in mats:
+            nxt = _mat_vec(rows, vec)
             if _echelon_insert(basis, nxt):
                 queue.append(nxt)
     return [tuple(b) for _, b in basis]
 
 
-def _kernel_row(l, modulus, residue):
+def _kernel_row(base, u, mats, modulus, residue):
     """Row functional of the kernel sequence n -> f(modulus * n + residue)."""
     e = 0
     m = modulus
     while m > 1:
-        if m % l.base != 0:
-            raise ValueError(f"modulus {modulus} is not a power of the base {l.base}")
-        m //= l.base
+        if m % base != 0:
+            raise ValueError(f"modulus {modulus} is not a power of the base {base}")
+        m //= base
         e += 1
     if not 0 <= residue < modulus:
         raise ValueError(f"residue {residue} out of range for modulus {modulus}")
-    digits = []
-    r = residue
+    row = u
     for _ in range(e):
-        r, d = divmod(r, l.base)
-        digits.append(d)
-    row = l.u
-    for d in digits:
-        row = _vec_mat(row, l.mats[d])
+        residue, d = divmod(residue, base)
+        row = _vec_mat(row, mats[d])
     return row
+
+
+def _functional(row, obasis):
+    """Values of a kernel row on the observability basis."""
+    nonzero = [(j, x) for j, x in enumerate(row) if x]
+    return tuple(sum(x * b[j] for j, x in nonzero) for b in obasis)
 
 
 @dataclass
@@ -759,11 +765,6 @@ class KernelSystem:
     basis: list
     closed: bool
     depth: int
-
-
-def _functional(l, obasis, modulus, residue):
-    row = _kernel_row(l, modulus, residue)
-    return tuple(_dot(row, b) for b in obasis)
 
 
 def _solve_combo(columns, target):
@@ -809,17 +810,16 @@ def kernel_relations(l, depth):
     sequence.  The system is closed when every basis sequence has all its
     children expressed; otherwise the result is flagged partial.
     """
-    lr = _to_rat(l if l.trailing_normalized() else normalize_trailing(l))
-    obasis = _observability_basis(lr)
+    u, mats, obasis = _rational_view(l)
     k = l.base
     basis = []        # [(modulus, residue)]
     basis_funcs = []  # matching functionals
     relations = []
-    expressed = set()
+    level = [u]       # kernel rows of modulus k^e, indexed by residue
     for e in range(depth + 1):
         modulus = k ** e
-        for c in range(modulus):
-            func = _functional(lr, obasis, modulus, c)
+        for c, row in enumerate(level):
+            func = _functional(row, obasis)
             combo = _solve_combo(basis_funcs, func)
             if combo is None:
                 basis.append((modulus, c))
@@ -828,7 +828,9 @@ def kernel_relations(l, depth):
                 relations.append(Relation(
                     (modulus, c),
                     {basis[i]: combo[i] for i in range(len(basis)) if combo[i] != 0}))
-                expressed.add((modulus, c))
+        if e < depth:
+            # row(k m, c + d m) = row(m, c) . mu(d): one product per new row
+            level = [_vec_mat(row, mats[d]) for d in range(k) for row in level]
     closed = all(m * k <= k ** depth for m, _ in basis)
     return KernelSystem(relations, basis, closed, depth)
 
@@ -840,11 +842,10 @@ def verify_relation(l, lhs, combo):
     comparison runs over the reachable observability space, which decides
     the identity for every n at once.
     """
-    lr = _to_rat(l if l.trailing_normalized() else normalize_trailing(l))
-    obasis = _observability_basis(lr)
-    target = list(_functional(lr, obasis, *lhs))
+    u, mats, obasis = _rational_view(l)
+    target = list(_functional(_kernel_row(l.base, u, mats, *lhs), obasis))
     for (m, c), coef in combo.items():
-        func = _functional(lr, obasis, m, c)
+        func = _functional(_kernel_row(l.base, u, mats, m, c), obasis)
         for j in range(len(target)):
             target[j] -= Fraction(coef) * func[j]
     return all(x == 0 for x in target)

@@ -40,6 +40,32 @@ def test_overlap_free_matches_naive():
     for _ in range(200):
         w = [rng.randrange(2) for _ in range(rng.randrange(0, 22))]
         assert overlap_free(w) == naive(w), w
+    # up to length 40: Thue-Morse factors (overlap-free, so every period is
+    # scanned), the same with one bit flipped, and words with a planted
+    # overlap of a long period, whose equality runs take several doublings
+    rng = random.Random(6)
+    tm = thue_morse_prefix(200)
+    verdicts = set()
+    for _ in range(1500):
+        length = rng.randrange(0, 41)
+        kind = rng.randrange(4)
+        if kind == 0:
+            w = [rng.randrange(2) for _ in range(length)]
+        elif kind in (1, 2):
+            start = rng.randrange(len(tm) - length)
+            w = tm[start:start + length]
+            if kind == 2 and w:
+                w[rng.randrange(length)] ^= 1
+        else:
+            q = rng.randrange(1, 14)
+            head = [rng.randrange(2) for _ in range(q)]
+            w = ([rng.randrange(2) for _ in range(rng.randrange(0, 8))] + head + head
+                 + head[:rng.randrange(0, q + 1)]
+                 + [rng.randrange(2) for _ in range(rng.randrange(0, 8))])
+        want = naive(w)
+        verdicts.add(want)
+        assert overlap_free(w) == want, w
+    assert verdicts == {True, False}
     assert not overlap_free([0, 1, 0, 1, 0])
     assert overlap_free(thue_morse_prefix(3000))
 

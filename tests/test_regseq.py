@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from autoseq import regseq
+from autoseq.analyses import measure
 from autoseq.automata import Dfa, Nfa, is_empty, minimize, permute_tracks
 from autoseq.logic import parse, compile as compile_formula
 from autoseq.numeration import DigitWord
@@ -56,6 +58,55 @@ def rand_natinf(rng, k, rank):
     def mat():
         return tuple(tuple(entry() for _ in range(rank)) for _ in range(rank))
     return LinRep("natinf", k, tuple(entry() for _ in range(rank)),
+                  tuple(mat() for _ in range(k)), tuple(entry() for _ in range(rank)))
+
+
+def dense_vec_mat(u, m):
+    return tuple(sum((x * m[i][j] for i, x in enumerate(u)), 0) for j in range(len(m[0])))
+
+
+def dense_mat_vec(m, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), 0) for row in m)
+
+
+def dense_eval(l, w):
+    row = l.u
+    for d in w:
+        row = dense_vec_mat(row, l.mats[d])
+    return sum((x * y for x, y in zip(row, l.v)), 0)
+
+
+def dense_rank_pad(l):
+    """Reference for _rank_pad: top row u.M | u.M.v, middle M | M.v."""
+    r = l.rank
+    mats = []
+    for m in l.mats:
+        um = dense_vec_mat(l.u, m)
+        mv = dense_mat_vec(m, l.v)
+        mats.append([(0,) + um + (sum((x * y for x, y in zip(um, l.v)), 0),)]
+                    + [(0,) + m[i] + (mv[i],) for i in range(r)] + [(0,) * (r + 2)])
+    return LinRep(l.semiring, l.base, (1,) + (0,) * (r + 1), mats, (0,) * (r + 1) + (1,))
+
+
+def with_zero_lines(rng, l):
+    """Copy of l with one state made dead: its row and column are zero in
+    every matrix and its entries in u and v are zero."""
+    dead = rng.randrange(l.rank)
+
+    def cut(vec):
+        return tuple(0 if i == dead else x for i, x in enumerate(vec))
+
+    mats = [tuple((0,) * l.rank if i == dead else cut(row) for i, row in enumerate(m))
+            for m in l.mats]
+    return LinRep(l.semiring, l.base, cut(l.u), mats, cut(l.v))
+
+
+def rand_rat(rng, k, rank):
+    def entry():
+        return Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) if rng.random() < 0.6 else 0
+    def mat():
+        return tuple(tuple(entry() for _ in range(rank)) for _ in range(rank))
+    return LinRep("rat", k, tuple(entry() for _ in range(rank)),
                   tuple(mat() for _ in range(k)), tuple(entry() for _ in range(rank)))
 
 
@@ -156,6 +207,53 @@ def test_zero_representation_normalizes_to_zero():
     z = zero_rep(2)
     g = normalize_leading(z)
     assert all(g.eval_word(w) == 0 for w in words(2, 4))
+
+
+def test_sparse_evaluation_matches_dense_reference():
+    rng = random.Random(4242)
+    reps = []
+    for _ in range(25):
+        k, rank = rng.choice([2, 3]), rng.randrange(1, 5)
+        reps.append(with_zero_lines(rng, rand_linrep(rng, k, rank)))
+        reps.append(rand_natinf(rng, k, rank))
+        reps.append(with_zero_lines(rng, rand_natinf(rng, k, rank)))
+        reps.append(rand_rat(rng, k, rank))
+    # infinity in u, in every matrix and in v, next to zero cells
+    reps.append(LinRep("natinf", 2, (INF, 0, 1), (((0, INF, 0), (0, 0, 0), (1, 0, INF)),
+                                                  ((INF, 0, 1), (0, 1, 0), (0, 0, 0))),
+                       (0, INF, 1)))
+    seen = set()
+    for l in reps:
+        seen.add(l.semiring)
+        for w in words(l.base, 4):
+            assert l.eval_word(w) == dense_eval(l, w), (l, w)
+        for g in (l, normalize_leading(l), normalize_trailing(l)):
+            assert g.leading_normalized() == (dense_vec_mat(g.u, g.mats[0]) == g.u)
+            assert g.trailing_normalized() == (dense_mat_vec(g.mats[0], g.v) == g.v)
+        assert normalize_leading(l).leading_normalized()
+        assert normalize_trailing(l).trailing_normalized()
+        if l.semiring == "nat":
+            assert regseq._rank_pad(l) == dense_rank_pad(l)
+    assert seen == {"nat", "natinf", "rat"}
+
+
+def test_eps_saturate_matches_dense_reference():
+    rng = random.Random(8080)
+    saw_inf = False
+    for _ in range(40):
+        nfa = rand_nfa(rng, 2, rng.randrange(1, 6), eps_p=0.25, edge_p=0.2)
+        n = nfa.n_states
+        d = regseq._eps_star(n, nfa.eps)
+        saw_inf |= any(x == INF for row in d for x in row)
+        sat = eps_saturate(nfa)
+        v = tuple(nfa.finals.get(q, 0) for q in range(n))
+        assert tuple(sat.finals.get(q, 0) for q in range(n)) == dense_mat_vec(d, v)
+        for s in range(2):
+            step = [[nfa.steps[q].get(s, {}).get(t, 0) for t in range(n)] for q in range(n)]
+            want = [dense_vec_mat(d[q], step) for q in range(n)]
+            got = [tuple(sat.steps[q].get(s, {}).get(t, 0) for t in range(n)) for q in range(n)]
+            assert got == want
+    assert saw_inf
 
 
 def test_path_count_fidelity():
@@ -377,6 +475,45 @@ def test_kernel_relations_digit_sum():
     assert verify_relation(s2, (4, 1), {(2, 1): 1})
     assert verify_relation(s2, (4, 2), {(2, 1): 1})
     assert not verify_relation(s2, (2, 0), {(2, 1): 1})
+
+
+def test_kernel_relations_unbordered_count_pinned():
+    rep = measure(TM, "unbordered-count")
+    ks = kernel_relations(rep, 4)
+    assert len(ks.relations) == 23
+    assert ks.basis == [(1, 0), (2, 0), (2, 1), (4, 0), (4, 2), (4, 3), (8, 0), (8, 7)]
+    assert ks.closed
+    assert str(ks.relations[0]) == "f(4n+1) = f(2n+1)"
+    assert str(ks.relations[-1]) == \
+        "f(16n+15) = - 8*f(4n) + 2*f(4n+3) + 4*f(8n) + f(8n+7)"
+
+
+def test_rational_view_built_once_per_series(monkeypatch):
+    calls = []
+    original = regseq.normalize_trailing
+
+    def counting(l):
+        calls.append(l)
+        return original(l)
+
+    monkeypatch.setattr(regseq, "normalize_trailing", counting)
+    rep = measure(TM, "unbordered-count")
+    assert not rep.trailing_normalized()
+    assert not verify_relation(rep, (4, 1), {(2, 1): 2})  # before the view is cached
+    view = regseq._rational_view(rep)
+    assert not verify_relation(rep, (4, 1), {(2, 1): 2})  # after
+    assert verify_relation(rep, (4, 1), {(2, 1): 1})
+    kernel_relations(rep, 2)
+    assert regseq._rational_view(rep) is view
+    assert calls == [rep]
+    # another series with other values builds and uses its own view
+    s2 = LinRep("nat", 2, (0, 1), (((1, 0), (0, 1)), ((1, 0), (1, 1))), (1, 0))
+    assert verify_relation(s2, (2, 0), {(1, 0): 1})
+    assert not verify_relation(rep, (2, 0), {(1, 0): 1})
+    assert regseq._rational_view(s2) is not view
+    assert regseq._rational_view(rep) is view
+    with pytest.raises(ValueError, match="infinities"):
+        verify_relation(LinRep("natinf", 2, (1,), (((INF,),), ((1,),)), (1,)), (1, 0), {})
 
 
 def test_kernel_relations_zero_rep():
