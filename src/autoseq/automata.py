@@ -364,29 +364,14 @@ def pad_closure(a):
     result is minimized, which makes pad_closure a structural fixed point.
     """
     zero = 0  # lex id of the all-zero symbol
-    # Step 1: accept w whenever some w·0^j is accepted (strip closure).
-    # Following the zero-symbol chain from q either hits a final state or
-    # cycles; memoize along the chain.
-    accept_via_zeros = [None] * a.n_states
-    for q in range(a.n_states):
-        if accept_via_zeros[q] is not None:
-            continue
-        chain = []
-        seen = {}
-        cur = q
-        while accept_via_zeros[cur] is None and cur not in seen:
-            seen[cur] = len(chain)
-            chain.append(cur)
-            if cur in a.finals:
-                break
-            cur = a.transitions[cur][zero]
-        if accept_via_zeros[cur] is not None:
-            verdict = accept_via_zeros[cur]
-        else:
-            verdict = cur in a.finals
-        for s in chain:
-            accept_via_zeros[s] = verdict
-    finals1 = {q for q in range(a.n_states) if accept_via_zeros[q]}
+    # Step 1: accept w whenever some w·0^j is accepted (strip closure): the
+    # states that reach a final state along zero symbols.  Only zero-symbol
+    # targets get a predecessor list: a list for every state of a large
+    # subset construction measurably raised peak memory.
+    zero_pre = {}
+    for q, row in enumerate(a.transitions):
+        zero_pre.setdefault(row[zero], []).append(q)
+    finals1 = _reachable(a.finals, lambda q: zero_pre.get(q, ()))
     # Step 2: also accept w·0^j for accepted w.  Track a bit meaning "some
     # split of the input as u·0^j with u accepted exists"; deterministic.
 

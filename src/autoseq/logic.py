@@ -953,30 +953,45 @@ def _assignment_from_word(word, vars_):
 
 
 def decide(f, env, config=None):
-    """Decide a sentence; attaches a witness or counterexample when a
-    leading quantifier block admits one."""
+    """Decide a sentence; attaches a witness (leading E block, true) or a
+    counterexample (leading A block, false).
+
+    A sentence that opens with a quantifier block compiles its body once
+    (negated under A); one emptiness check on that automaton gives both
+    the value and the assignment.
+    """
     cfg = config or CompileConfig()
     _check_env(f, env)
     free = free_variables(f)
     if free:
         raise CompileError(f"decide() needs a sentence; free variables: {sorted(free)}")
     comp = _Compiler(env, cfg)
-    value = comp.compile(f)
-    if not isinstance(value, bool):
-        raise AssertionError("sentence compiled to an automaton")
-    # A true sentence may lead with E, a false one with A: the leading block
-    # then gets a witness or a counterexample.
-    leading, body = _leading_block(f, Exists if value else Forall)
-    if not leading:
+    kind = type(f)
+    if kind not in (Exists, Forall):
+        value = comp.compile(f)
+        if not isinstance(value, bool):
+            raise AssertionError("sentence compiled to an automaton")
         return Decision(value)
-    inner = comp.compile(body if value else Not(body))
+    leading, body = _leading_block(f, kind)
+    inner = comp.compile(body)
+    if kind is Forall:
+        inner = comp.negate(inner)
+    # inner holds for some assignment iff an E sentence is true, or an A
+    # sentence is false.
     assignment = {}
-    if not isinstance(inner, bool):
+    if isinstance(inner, bool):
+        found = inner
+    else:
         dfa, vars_ = inner
-        assignment = _assignment_from_word(is_empty(dfa)[1], vars_)
+        empty, word = is_empty(dfa)
+        found = not empty
+        if found:
+            assignment = _assignment_from_word(word, vars_)
+    if not found:
+        return Decision(kind is Forall)
     for v in leading:
         assignment.setdefault(v, 0)
-    if value:
+    if kind is Exists:
         return Decision(True, witness=assignment)
     return Decision(False, counterexample=assignment)
 

@@ -18,7 +18,7 @@ representation off the resulting weighted automaton.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import automata
+from . import automata, logic
 from .automata import Dfa, Nfa, equivalent, minimize, pad_closure
 from .numeration import encode_lsd
 
@@ -418,21 +418,6 @@ def normalize_trailing(l):
 # ---------------------------------------------------------------------------
 # Infinity handling
 
-_RP_ZERO, _RP_POS, _RP_INF = 0, 1, 2
-
-
-def _tau(x):
-    if isinstance(x, _Infinity):
-        return _RP_INF
-    return _RP_ZERO if x == 0 else _RP_POS
-
-
-def _rp_mul(a, b):
-    if a == 0 or b == 0:
-        return 0
-    return a if a >= b else b
-
-
 def _xi(x):
     return 0 if isinstance(x, _Infinity) else x
 
@@ -440,32 +425,34 @@ def _xi(x):
 def decompose_infinity(l, limit=1_000_000):
     """Split an extended-natural series into (infinity locus, finite part).
 
-    The locus automaton runs the abstraction of the representation onto
-    {zero, positive, infinity}, exploring only the row vectors reachable
-    from the abstracted u; a word is accepted exactly when the series
-    value is infinite.  The finite part replaces every infinity entry by
-    zero, which cannot change any finite value because such entries only
-    ever meet zero there.
+    Since 0 * inf = 0, a word's value is infinite exactly when some path of
+    nonzero weights uses an infinite one.  The locus is therefore the
+    language of a two-layer NFA on the support of the representation:
+    state q means every weight so far was finite, state q + r that an
+    infinite weight has been used.  It is trimmed, determinized (raising
+    StateLimit past `limit` subsets) and minimized.  The finite part
+    replaces every infinity entry by zero, which cannot change any finite
+    value because such entries only ever meet zero there.
     """
     if l.semiring == "rat":
         raise ValueError("decompose_infinity applies to nat/natinf series")
-    k = l.base
-    mhat = [[tuple(_tau(x) for x in row) for row in m] for m in l.mats]
-    vhat = tuple(_tau(x) for x in l.v)
-    r = len(vhat)
-
-    def successors(row):
-        return [tuple(max((_rp_mul(row[x], m[x][j]) for x in range(r)), default=0)
-                      for j in range(r)) for m in mhat]
-
-    found, rows = automata._explore(tuple(_tau(x) for x in l.u), successors, limit)
-    finals = {i for i, row in enumerate(found)
-              if max((_rp_mul(row[j], vhat[j]) for j in range(r)), default=0) == _RP_INF}
-    dfa = minimize(Dfa(k, 1, rows, 0, finals))
+    k, r = l.base, l.rank
+    nfa = Nfa(k, 1, 2 * r,
+              initials=[q + r if x is INF else q for q, x in enumerate(l.u) if x],
+              finals=[q + r for q, x in enumerate(l.v) if x]
+              + [q for q, x in enumerate(l.v) if x is INF])
+    for d, rows in enumerate(l._rows):
+        for q, row in enumerate(rows):
+            for t, w in row:
+                nfa.add_edge(q, d, t + r if w is INF else t)
+                nfa.add_edge(q + r, d, t + r)
+    locus = minimize(automata.determinize(trim_nfa(nfa), limit))
+    if l.semiring == "nat":
+        return InfDecomposition(locus, l)
     finite = LinRep("nat", k, tuple(_xi(x) for x in l.u),
                     tuple(tuple(tuple(_xi(x) for x in row) for row in m) for m in l.mats),
                     tuple(_xi(x) for x in l.v))
-    return InfDecomposition(dfa, finite)
+    return InfDecomposition(locus, finite)
 
 
 def _char_rep(dfa):
@@ -560,12 +547,7 @@ def _unique_representative_nfa(p):
 def _count_series(nfa, k):
     """Path-counting series of a trimmed epsilon NFA with its infinity-locus
     decomposition attached; over the naturals when every value is finite."""
-    if nfa.n_states == 0:
-        out = zero_rep(k)
-        out.inf_part = InfDecomposition(
-            minimize(Dfa(k, 1, [[0] * k], 0, set())), zero_rep(k))
-        return out
-    rep = linrep_from_nfa(eps_saturate(nfa))
+    rep = linrep_from_nfa(eps_saturate(nfa)) if nfa.n_states else zero_rep(k)
     dec = decompose_infinity(rep)
     empty, _ = automata.is_empty(dec.infinite_part)
     if empty:
@@ -591,24 +573,23 @@ def count_parameter(p):
     return _count_series(trim_nfa(_unique_representative_nfa(pmin)), p.base)
 
 
-def count_measure(p, sample_limit=24):
+def count_measure(p):
     """Measure value from its strict level predicate: p(n, t) holds iff the
     measure at n exceeds t, so counting witnesses t >= 0 yields the value.
 
-    Downward closure in t is the caller's obligation; a small sample is
-    checked and violations raise.
+    p must be downward closed in t; this is decided exactly, and a
+    violation raises with the least counterexample.
     """
     if p.arity != 2:
         raise ValueError(f"count_measure needs an arity-2 automaton, got {p.arity}")
-    for n in range(min(sample_limit, 12)):
-        seen_false = False
-        for t in range(sample_limit):
-            member = p.accepts_values((n, t))
-            if member and seen_false:
-                raise ValueError(
-                    f"level predicate is not downward closed in t at n={n}, t={t}")
-            if not member:
-                seen_false = True
+    n, t = logic.Var("n"), logic.Var("t")
+    closed = logic.decide(logic.Forall("n", logic.Forall("t", logic.Implies(
+        logic.Call(p, (n, logic.Add(t, logic.Const(1)))), logic.Call(p, (n, t))))), {})
+    if not closed:
+        bad = closed.counterexample
+        raise ValueError(
+            f"level predicate is not downward closed in t at n={bad['n']}, t={bad['t']} "
+            "(it holds at t + 1 but not at t)")
     return count_parameter(p)
 
 

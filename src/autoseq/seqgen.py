@@ -7,6 +7,7 @@ independent of how many trailing zero digits its representation carries;
 it is validated at construction and on load.
 """
 
+from .automata import _reachable
 from .numeration import encode_lsd
 
 
@@ -39,18 +40,11 @@ class Dfao:
                     f"padding instability: state {bad} and its zero successor disagree")
 
     def _padding_unstable_state(self):
-        """A reachable state whose zero successor changes the output, if any."""
-        seen = {self.initial}
-        stack = [self.initial]
-        while stack:
-            q = stack.pop()
-            if self.outputs[self.transitions[q][0]] != self.outputs[q]:
-                return q
-            for t in self.transitions[q]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return None
+        """The least reachable state whose zero successor changes the
+        output, if any."""
+        reach = _reachable((self.initial,), self.transitions.__getitem__)
+        return min((q for q in reach
+                    if self.outputs[self.transitions[q][0]] != self.outputs[q]), default=None)
 
     @property
     def n_states(self):

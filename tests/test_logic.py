@@ -135,6 +135,18 @@ def test_decide_squares_and_overlaps():
     assert not d.value
 
 
+def test_decide_compiles_its_body_once():
+    # the value and the witness both come from one compilation of the body
+    square = parse("E i E n (n >= 1) & (A t (t < n) => x[i+t] = x[i+n+t])")
+    body = square.body.body
+    once = CompileConfig()
+    compile(body, ENV, once)
+    cfg = CompileConfig()
+    d = decide(square, ENV, cfg)
+    assert d.value and d.witness
+    assert cfg.operations == once.operations > 0
+
+
 def test_decide_simple():
     assert decide(parse("A n E m (m > n)"), ENV).value
     d = decide(parse("A n x[n] = 0"), ENV)

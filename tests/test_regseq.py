@@ -6,7 +6,7 @@ import pytest
 
 from autoseq import regseq
 from autoseq.analyses import measure
-from autoseq.automata import Dfa, Nfa, is_empty, minimize, permute_tracks
+from autoseq.automata import Dfa, Nfa, StateLimit, is_empty, minimize, permute_tracks
 from autoseq.logic import parse, compile as compile_formula
 from autoseq.numeration import DigitWord
 from autoseq.regseq import (INF, InfDecomposition, LinRep, count_measure,
@@ -329,17 +329,25 @@ def test_eps_saturate_examples():
 
 
 def test_decompose_infinity_50_random():
-    rng = random.Random(31337)
-    for _ in range(50):
-        l = rand_natinf(rng, 2, rng.randrange(1, 4))
-        dec = decompose_infinity(l)
-        for w in words(2, 6):
-            val = l.eval_word(w)
-            member = dec.infinite_part.accepts(
-                DigitWord(2, 1, tuple((d,) for d in w)))
-            assert member == (val == INF)
-            if not member:
-                assert dec.finite_part.eval_word(w) == val
+    streams = [(random.Random(31337), 2, 4, 6), (random.Random(4242), 3, 7, 5)]
+    for rng, k, rank_top, maxlen in streams:
+        for _ in range(50):
+            l = rand_natinf(rng, k, rng.randrange(1, rank_top))
+            dec = decompose_infinity(l)
+            for w in words(k, maxlen):
+                val = l.eval_word(w)
+                member = dec.infinite_part.accepts(
+                    DigitWord(k, 1, tuple((d,) for d in w)))
+                assert member == (val == INF)
+                if not member:
+                    assert dec.finite_part.eval_word(w) == val
+    # value inf exactly on words containing a 1: two subsets to explore
+    ones = LinRep("natinf", 2, (1,), (((1,),), ((INF,),)), (1,))
+    with pytest.raises(StateLimit):
+        decompose_infinity(ones, limit=1)
+    locus = decompose_infinity(ones, limit=2).infinite_part
+    assert [locus.accepts(DigitWord(2, 1, tuple((d,) for d in w)))
+            for w in ((), (0, 0), (0, 1), (1, 0))] == [False, False, True, True]
 
 
 def test_decompose_all_finite():
@@ -351,6 +359,9 @@ def test_decompose_all_finite():
     assert empty
     for w in words(2, 6):
         assert dec.finite_part.eval_word(w) == l.eval_word(w)
+    dec = decompose_infinity(l)
+    assert is_empty(dec.infinite_part)[0]
+    assert dec.finite_part is l
 
 
 def test_push_infinity_to_u_50_random():
@@ -427,7 +438,7 @@ def test_count_measure_identity_and_zero():
 def test_count_measure_rejects_non_downward_closed():
     # p(n, t) iff t = n is not downward closed in t
     eq = compile_formula(parse("t = n"), ENV)
-    with pytest.raises(ValueError, match="downward"):
+    with pytest.raises(ValueError, match="downward closed in t at n=1, t=0"):
         count_measure(eq)
 
 

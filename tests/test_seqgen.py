@@ -59,6 +59,9 @@ def test_padding_instability_rejected():
     # output(delta(q0, 0)) != output(q0)
     with pytest.raises(ValueError, match="instability"):
         Dfao(2, [[1, 0], [1, 1]], 0, [0, 1])
+    # states 1 and 2 are both unstable; the least one is reported
+    with pytest.raises(ValueError, match="state 1 and"):
+        Dfao(3, [[0, 1, 2], [3, 3, 3], [3, 3, 3], [3, 3, 3]], 0, [0, 0, 0, 1])
     text = "dfao base=2 states=2 initial=0 order=lsd\n" \
            "state 0 output 0\nstate 1 output 1\n0 0 1\n0 1 0\n1 0 1\n1 1 1\n"
     with pytest.raises(ValueError, match="instability"):
