@@ -12,8 +12,6 @@ final states may additionally carry multiplicities, which path-counting
 constructions need (a plain state set means multiplicity one).
 """
 
-from operator import or_
-
 from .numeration import DigitWord, encode_tuple
 
 
@@ -23,6 +21,9 @@ class StateLimit(RuntimeError):
 
 _ALPHABETS = {}
 _TRACK_MAPS = {}
+# Bit positions set in each byte value: determinize walks the members of a
+# subset a byte at a time.
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def alphabet(k, arity):
@@ -161,15 +162,16 @@ class Dfa:
         self.initial = initial
         self.finals = frozenset(finals)
         nsym = base ** arity
+        n = len(self.transitions)
         for row in self.transitions:
             if len(row) != nsym:
                 raise ValueError("transition table is not total")
-            for t in row:
-                if not 0 <= t < len(self.transitions):
-                    raise ValueError(f"transition target {t} out of range")
-        if not 0 <= initial < len(self.transitions):
+            if min(row) < 0 or max(row) >= n:
+                t = next(t for t in row if not 0 <= t < n)
+                raise ValueError(f"transition target {t} out of range")
+        if not 0 <= initial < n:
             raise ValueError("initial state out of range")
-        if any(f >= len(self.transitions) for f in self.finals):
+        if any(f >= n for f in self.finals):
             raise ValueError("final state out of range")
 
     @property
@@ -248,36 +250,72 @@ class Nfa:
 
 
 def determinize(a, limit=None):
-    """Subset construction; multiplicities collapse to plain membership."""
+    """Subset construction; multiplicities collapse to plain membership.
+
+    A subset is a bitmask over the NFA states.  packed[q] holds q's
+    successor sets for every symbol at once, symbol s in bits
+    [s*n, (s+1)*n), so the successors of a subset cost one big-integer OR
+    per member, after which one shift and mask per symbol splits them.
+    """
     if a.has_eps():
         raise ValueError("determinize requires an epsilon-free NFA; call eps_eliminate first")
-    nsym = a.base ** a.arity
-    masks = [[0] * nsym for _ in range(a.n_states)]
-    for q in range(a.n_states):
-        for s, row in a.steps[q].items():
+    n = a.n_states
+    shifts = [s * n for s in range(a.base ** a.arity)]
+    packed = []
+    for steps in a.steps:
+        row = 0
+        for s, targets in steps.items():
             m = 0
-            for t in row:
+            for t in targets:
                 m |= 1 << t
-            masks[q][s] = m
+            row |= m << shifts[s]
+        packed.append(row)
     final_mask = 0
     for q in a.finals:
         final_mask |= 1 << q
     start = 0
     for q in a.initials:
         start |= 1 << q
-    empty = [0] * nsym
+    nbytes = (n + 7) // 8
+    full = (1 << n) - 1
+    byte_rows = [packed[i:i + 8] for i in range(0, n, 8)]
 
     def successors(subset):
-        row = empty
-        while subset:
-            low = subset & -subset
-            row = list(map(or_, row, masks[low.bit_length() - 1]))
-            subset ^= low
-        return row
+        acc = 0
+        for byte, rows in zip(subset.to_bytes(nbytes, "little"), byte_rows):
+            if byte:
+                for bit in _BYTE_BITS[byte]:
+                    acc |= rows[bit]
+        return [acc >> sh & full for sh in shifts]
 
     subsets, rows = _explore(start, successors, limit)
     return Dfa(a.base, a.arity, rows, 0,
                {i for i, subset in enumerate(subsets) if subset & final_mask})
+
+
+def reverse(a):
+    """Nfa of the reversed language of a Dfa or an epsilon-free Nfa.
+
+    Every edge q -s-> t becomes t -s-> q with its multiplicity; initial
+    and final states swap, weights included.
+    """
+    if isinstance(a, Dfa):
+        edges = ((q, s, t, 1) for q, row in enumerate(a.transitions) for s, t in enumerate(row))
+        initials, finals = a.finals, {a.initial}
+    else:
+        if a.has_eps():
+            raise ValueError("reverse requires an epsilon-free NFA; call eps_eliminate first")
+        edges = ((q, s, t, mult) for q, row in enumerate(a.steps)
+                 for s, targets in row.items() for t, mult in targets.items())
+        initials, finals = a.finals, a.initials
+    steps = [{} for _ in range(a.n_states)]
+    for q, s, t, mult in edges:
+        back = steps[t].get(s)
+        if back is None:
+            steps[t][s] = {q: mult}
+        else:
+            back[q] = mult
+    return Nfa(a.base, a.arity, a.n_states, steps, initials=initials, finals=finals)
 
 
 def complement(a):
@@ -327,12 +365,17 @@ def project_many(a, tracks):
         raise ValueError("cannot project every track; use is_empty instead")
     keep = [t for t in range(a.arity) if t not in tracks]
     mapping = _track_map(a.base, a.arity, keep)
-    out = Nfa(a.base, len(keep), a.n_states, initials={a.initial: 1},
-              finals={q: 1 for q in a.finals})
-    for q in range(a.n_states):
-        for s, t in enumerate(a.transitions[q]):
-            out.add_edge(q, mapping[s], t)
-    return out
+    steps = []
+    for row in a.transitions:
+        out = {}
+        for s, t in zip(mapping, row):
+            targets = out.get(s)
+            if targets is None:
+                out[s] = {t: 1}
+            else:
+                targets[t] = targets.get(t, 0) + 1
+        steps.append(out)
+    return Nfa(a.base, len(keep), a.n_states, steps, initials={a.initial: 1}, finals=a.finals)
 
 
 def inflate(a, *positions):

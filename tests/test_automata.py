@@ -6,7 +6,8 @@ import pytest
 from autoseq.automata import (Dfa, Nfa, StateLimit, _explore, _sccs, complement,
                               determinize, eps_eliminate, equivalent, inflate,
                               is_empty, is_finite, load, minimize, pad_closure,
-                              permute_tracks, product, project, project_many, store)
+                              permute_tracks, product, project, project_many,
+                              reverse, store)
 from autoseq.numeration import DigitWord
 
 
@@ -53,6 +54,117 @@ def test_determinize_examples():
     twice.add_edge(1, 1, 1)
     d = determinize(twice)
     assert d.accepts(DigitWord(2, 1, ((1,), (1,))))
+
+
+def subset_construction(a, cap):
+    """Reference subset construction over frozensets: subsets numbered in
+    breadth-first discovery order, symbols taken in order.  None once more
+    than cap subsets are found."""
+    start = frozenset(a.initials)
+    ids = {start: 0}
+    order = [start]
+    rows = []
+    for subset in order:
+        if len(order) > cap:
+            return None
+        row = []
+        for s in range(a.base ** a.arity):
+            succ = frozenset(t for q in subset for t in a.steps[q].get(s, {}))
+            if succ not in ids:
+                ids[succ] = len(order)
+                order.append(succ)
+            row.append(ids[succ])
+        rows.append(row)
+    return Dfa(a.base, a.arity, rows, 0,
+               {i for i, subset in enumerate(order) if subset & a.finals.keys()})
+
+
+def random_nfa(rng, n, k, arity):
+    """Epsilon-free NFA with one to four edges per state (multiplicities
+    up to 3), some states without edges and zero to three initial states."""
+    a = Nfa(k, arity, n, initials=rng.sample(range(n), min(n, rng.choice((0, 1, 2, 2, 3)))),
+            finals=[q for q in range(n) if rng.random() < 0.3])
+    for q in range(n):
+        if rng.random() < 0.1:
+            continue
+        for _ in range(rng.randrange(1, 5)):
+            a.add_edge(q, rng.randrange(k ** arity), rng.randrange(n), mult=rng.randrange(1, 4))
+    return a
+
+
+def nfa_accepts(a, word):
+    states = set(a.initials)
+    for s in word:
+        states = {t for q in states for t in a.steps[q].get(s, {})}
+    return bool(states & a.finals.keys())
+
+
+def dfa_state(d, word):
+    q = d.initial
+    for s in word:
+        q = d.transitions[q][s]
+    return q
+
+
+def test_determinize_matches_frozenset_subset_construction():
+    rng = random.Random(5)
+    sizes = []
+    for n in [1, 2, 7, 8, 9, 17, 40, 63, 64, 65, 80] + [rng.randrange(1, 81) for _ in range(15)]:
+        k, arity = rng.choice(((2, 1), (2, 2), (3, 1), (3, 2)))
+        want = None
+        while want is None:  # redraw the few NFAs whose subsets explode
+            a = random_nfa(rng, n, k, arity)
+            want = subset_construction(a, 1500)
+        sizes.append(want.n_states)
+        assert determinize(a) == want, (n, k, arity)
+        assert determinize(a, limit=want.n_states) == want
+        if want.n_states > 1:  # the start subset is never refused
+            with pytest.raises(StateLimit):
+                determinize(a, limit=want.n_states - 1)
+    assert sum(size > 40 for size in sizes) >= 10, sizes  # not only trivial cases
+
+
+def test_reverse_reads_words_backwards():
+    rng = random.Random(9)
+    for k, arity in ((2, 1), (2, 2), (3, 1)):
+        nsym = k ** arity
+        words = [w for length in range(7) for w in itertools.product(range(nsym), repeat=length)]
+        for _ in range(4):
+            n = rng.randrange(1, 7)
+            rows = [[rng.randrange(n) for _ in range(nsym)] for _ in range(n)]
+            d = Dfa(k, arity, rows, rng.randrange(n), {q for q in range(n) if rng.random() < 0.4})
+            a = random_nfa(rng, rng.randrange(1, 7), k, arity)
+            rd, ra = reverse(d), reverse(a)
+            for w in words:
+                back = w[::-1]
+                assert nfa_accepts(rd, w) == (dfa_state(d, back) in d.finals), (rows, w)
+                assert nfa_accepts(ra, w) == nfa_accepts(a, back), w
+            twice = reverse(ra)
+            assert (twice.steps, twice.initials, twice.finals) == (a.steps, a.initials, a.finals)
+    with pytest.raises(ValueError):
+        eps = Nfa(2, 1, 2, initials=[0], finals=[1])
+        eps.add_eps(0, 1)
+        reverse(eps)
+
+
+def test_project_many_counts_colliding_symbols():
+    # symbols (0,0) and (1,0) both lead 0 -> 1 and project to (0,): mult 2
+    a = Dfa(2, 2, [[1, 0, 1, 0], [1, 1, 1, 1]], 0, {1})
+    nfa = project_many(a, {0})
+    assert nfa.steps[0] == {0: {1: 2}, 1: {0: 2}}
+    assert nfa.steps[1] == {0: {1: 2}, 1: {1: 2}}
+    assert (nfa.initials, nfa.finals) == ({0: 1}, {1: 1})
+
+
+def test_dfa_rejects_out_of_range_targets():
+    with pytest.raises(ValueError, match="transition target 5 out of range"):
+        Dfa(2, 1, [[0, 1], [5, -1]], 0, set())
+    with pytest.raises(ValueError, match="transition target -1 out of range"):
+        Dfa(2, 1, [[0, 1], [-1, 5]], 0, set())
+    with pytest.raises(ValueError, match="transition target 2 out of range"):
+        Dfa(2, 1, [[0, 2], [0, 0]], 0, set())
+    with pytest.raises(ValueError, match="not total"):
+        Dfa(2, 1, [[0, 1], [0]], 0, set())
 
 
 def test_complement():

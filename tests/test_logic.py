@@ -2,16 +2,20 @@ import itertools
 
 import pytest
 
-from autoseq.automata import complement, equivalent, inflate, minimize, product
+from autoseq.automata import (Dfa, complement, determinize, equivalent, inflate,
+                              minimize, pad_closure, product, project_many)
 from autoseq.logic import (And, Call, CompileConfig, CompileError, Exists,
                            Forall, Not, ParseError, ResourceLimit, Var,
                            characteristic, compile, decide, free_variables,
                            parse)
+from autoseq.oracle import PrefixContext, brute
 from autoseq.seqgen import Dfao, prefix, thue_morse
 
 TM = thue_morse()
 ENV = {"x": TM}
 TMVALS = prefix(TM, 5000)
+S3 = Dfao(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0, [0, 1, 2])  # ternary digit sum mod 3
+UNBORDERED = "A l ((1 <= l & 2*l <= n) => (E i (i < l) & (x[j+i] != x[j+n-l+i])))"
 
 
 def test_parse_shapes():
@@ -232,3 +236,36 @@ def test_tracks_sorted_by_name():
     dfa = compile(parse("b + 1 = a"), ENV)  # tracks (a, b)
     assert dfa.accepts_values((3, 2))
     assert not dfa.accepts_values((2, 3))
+
+
+@pytest.mark.parametrize("seq,text,drops", [
+    (TM, "(n >= 1) & (A t (t < n) => x[i+t] = x[i+n+t])", [("i",), ("n",)]),
+    (TM, "(x[i+j] = x[i+j+n]) & (j < n)", [("i",), ("j",), ("i", "j"), ("j", "n")]),
+    (TM, UNBORDERED, [("j",), ("n",)]),
+    (S3, "(x[i] = x[i+n]) & (x[i+1] = x[i+n+1])", [("i",), ("n",)]),
+    (S3, "(x[i] != x[j]) & (i + j = 2*n)", [("i",), ("i", "j"), ("n",)]),
+], ids=["tm-square", "tm-shift", "tm-unbordered", "s3-square", "s3-midpoint"])
+def test_projection_matches_forward_subset_construction(seq, text, drops):
+    # E blocks determinize by double reversal; the forward subset
+    # construction must give the same pad-closed automaton
+    body = parse(text)
+    env = {"x": seq}
+    dfa = compile(body, env)
+    tracks = sorted(free_variables(body))
+    for drop in drops:
+        f = body
+        for v in reversed(drop):
+            f = Exists(v, f)
+        forward = pad_closure(determinize(project_many(dfa, {tracks.index(v) for v in drop})))
+        assert compile(f, env) == forward, (text, drop)
+
+
+def test_base3_unbordered_lengths_under_a_small_ceiling():
+    # the forward subset construction of this projection passes 20,000
+    # states; the reversed ones stay far below
+    cfg = CompileConfig(max_states=20_000)
+    dfa = compile(parse("E j " + UNBORDERED), {"x": S3}, cfg)
+    assert dfa == Dfa(3, 1, [[0, 0, 0]], 0, {0})  # every length n
+    ctx = PrefixContext(prefix(S3, 4000))
+    for n in range(40):
+        assert dfa.accepts_values((n,)) == (brute("unbordered-count", ctx, n) > 0), n
