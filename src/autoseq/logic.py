@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import automata
 from .automata import (Dfa, determinize, complement, product, inflate,
-                       pad_closure, minimize, is_empty, reverse, sym_tuples)
+                       minimize, is_empty, reverse, sym_tuples)
 from .numeration import decode_lsd, project_track
 from .seqgen import Dfao
 
@@ -581,8 +581,7 @@ class CompileConfig:
 
     def note(self, dfa):
         self.operations += 1
-        if dfa.n_states > self.peak_states:
-            self.peak_states = dfa.n_states
+        self.peak_states = max(self.peak_states, dfa.n_states)
         if dfa.n_states > self.max_states:
             raise ResourceLimit(
                 f"intermediate automaton has {dfa.n_states} states "
@@ -695,8 +694,8 @@ class _Compiler:
         want = tuple(sorted(set(avars) | set(bvars)))
         a = self.align(a, avars, want)
         b = self.align(b, bvars, want)
-        out = self.cfg.note(minimize(product(a, b, op, limit=self.cfg.max_states)))
-        return out, want
+        prod = self.cfg.note(product(a, b, op, limit=self.cfg.max_states))
+        return self.cfg.note(minimize(prod)), want
 
     def exists(self, v, value):
         return self.exists_many([v], value)
@@ -712,16 +711,16 @@ class _Compiler:
             empty, _ = is_empty(dfa)
             return not empty
         # Brzozowski: determinizing the reversal of a reachable DFA gives the
-        # minimal DFA of the reversed language, so two reversals reach the
-        # minimal DFA of the projection.  The forward subset construction
-        # blows up on these projections (Thue-Morse permutation complexity:
-        # 34,309 subsets that minimize to 25 states); the reversed ones stay
-        # near the size of their result.
-        nfa = automata.project_many(dfa, drop)
-        limit = self.cfg.max_states
-        mirror = minimize(determinize(reverse(nfa), limit))
-        det = determinize(reverse(mirror), limit)
-        out = self.cfg.note(pad_closure(det))
+        # minimal DFA of the reversed language, in minimize's numbering (FIFO,
+        # symbols in lex order); the forward construction blows up here.  In
+        # reverse, trailing zeros lead: starting from every state the initials
+        # reach along symbol 0 accepts w when some w·0^j is accepted.  The body
+        # is pad-closed, so this equals pad_closure of the projection's DFA.
+        rev = reverse(automata.project_many(dfa, drop))
+        rev.initials = dict.fromkeys(
+            automata._reachable(rev.initials, lambda q: rev.steps[q].get(0, ())), 1)
+        mirror = minimize(self.cfg.note(determinize(rev, self.cfg.max_states)))
+        out = self.cfg.note(determinize(reverse(mirror), self.cfg.max_states))
         return out, tuple(w for i, w in enumerate(vars_) if i not in drop)
 
     def negate(self, value):

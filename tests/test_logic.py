@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from autoseq import logic
 from autoseq.automata import (Dfa, complement, determinize, equivalent, inflate,
                               minimize, pad_closure, product, project_many)
 from autoseq.logic import (And, Call, CompileConfig, CompileError, Exists,
@@ -244,7 +245,8 @@ def test_tracks_sorted_by_name():
     (TM, UNBORDERED, [("j",), ("n",)]),
     (S3, "(x[i] = x[i+n]) & (x[i+1] = x[i+n+1])", [("i",), ("n",)]),
     (S3, "(x[i] != x[j]) & (i + j = 2*n)", [("i",), ("i", "j"), ("n",)]),
-], ids=["tm-square", "tm-shift", "tm-unbordered", "s3-square", "s3-midpoint"])
+    (TM, "(y = 4*n + 3) & x[y] = 0", [("y",)]),
+], ids=["tm-square", "tm-shift", "tm-unbordered", "s3-square", "s3-midpoint", "tm-4n3"])
 def test_projection_matches_forward_subset_construction(seq, text, drops):
     # E blocks determinize by double reversal; the forward subset
     # construction must give the same pad-closed automaton
@@ -258,6 +260,31 @@ def test_projection_matches_forward_subset_construction(seq, text, drops):
             f = Exists(v, f)
         forward = pad_closure(determinize(project_many(dfa, {tracks.index(v) for v in drop})))
         assert compile(f, env) == forward, (text, drop)
+
+
+def test_strip_closure_takes_several_zero_digits():
+    # the witness y = 4n+3 has two more digits than n, so n's own digits
+    # are accepted only through two trailing zeros
+    dfa = compile(parse("E y (y = 4*n + 3) & x[y] = 0"), ENV)
+    for n in range(64):
+        assert dfa.accepts_values((n,)) == (TMVALS[4 * n + 3] == 0), n
+
+
+def test_peak_states_covers_intermediate_constructions(monkeypatch):
+    built = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            built.append(out.n_states)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(logic, "determinize", recording(logic.determinize))
+    monkeypatch.setattr(logic, "product", recording(logic.product))
+    cfg = CompileConfig()
+    compile(parse("E i (n >= 1) & (A t (t < n) => x[i+t] = x[i+n+t])"), ENV, cfg)
+    assert built and cfg.peak_states == max(built)
 
 
 def test_base3_unbordered_lengths_under_a_small_ceiling():
