@@ -434,33 +434,53 @@ def pad_closure(a):
 def minimize(a):
     """Minimal complete DFA in canonical form.
 
-    States are renumbered in breadth-first discovery order from the initial
-    state with symbols taken in lexicographic order, so language-equal
-    minimal automata are structurally identical.
+    Moore refinement: each round maps every state to (class, classes of its
+    successors) and numbers the distinct signatures, until the class count
+    stops growing.  Moore takes as many rounds as the distinguishing depth,
+    so a partition still growing after about log2(n) rounds goes to
+    Hopcroft.  A class depends only on the state's future language, so the
+    walk from the initial class reaches exactly the reachable quotient; it
+    numbers classes breadth-first with symbols in lexicographic order, so
+    language-equal minimal automata are structurally identical.
     """
-    nsym = a.base ** a.arity
-    # Restrict to reachable states.
-    reach, trans = _explore(a.initial, a.transitions.__getitem__)
-    finals = {i for i, q in enumerate(reach) if q in a.finals}
-    n = len(reach)
-    # Hopcroft partition refinement.
+    trans = a.transitions
+    n = len(trans)
+    cols = list(zip(*trans))  # cols[s][q]: successor of q on symbol s
+    cls = list(map(a.finals.__contains__, range(n)))
+    count = len(set(cls))
+    for _ in range(n.bit_length() + 2):
+        get = cls.__getitem__
+        sigs = list(zip(cls, *[map(get, col) for col in cols]))
+        ids = dict(zip(dict.fromkeys(sigs), range(n)))
+        cls = list(map(ids.__getitem__, sigs))
+        if len(ids) == count:
+            break
+        count = len(ids)
+    else:
+        cls = _hopcroft(trans, cls, count)
+    rep = dict(zip(cls, range(n)))  # some state of each class
+    get = cls.__getitem__
+    order, rows = _explore(cls[a.initial], lambda c: map(get, trans[rep[c]]))
+    return Dfa(a.base, a.arity, rows, 0,
+               {i for i, c in enumerate(order) if rep[c] in a.finals})
+
+
+def _hopcroft(trans, cls, count):
+    """Coarsest refinement of the partition cls (class ids 0..count-1) that
+    is stable under every symbol (Hopcroft 1971).  Every block starts in the
+    worklist, so any partition that separates only inequivalent states is a
+    valid seed.  Returns the refined class of each state."""
+    n = len(trans)
+    nsym = len(trans[0])
     inverse = [[[] for _ in range(n)] for _ in range(nsym)]
-    for q in range(n):
-        for s in range(nsym):
-            inverse[s][trans[q][s]].append(q)
-    block_of = [0] * n
-    fin = sorted(finals)
-    nonfin = [q for q in range(n) if q not in finals]
-    blocks = []
-    if fin:
-        for q in fin:
-            block_of[q] = len(blocks)
-        blocks.append(set(fin))
-    if nonfin:
-        for q in nonfin:
-            block_of[q] = len(blocks)
-        blocks.append(set(nonfin))
-    worklist = list(range(len(blocks)))
+    for q, row in enumerate(trans):
+        for s, t in enumerate(row):
+            inverse[s][t].append(q)
+    blocks = [set() for _ in range(count)]
+    for q, c in enumerate(cls):
+        blocks[c].add(q)
+    block_of = list(cls)
+    worklist = list(range(count))
     in_work = set(worklist)
     while worklist:
         b = worklist.pop()
@@ -490,12 +510,7 @@ def minimize(a):
                     smaller = new_id if len(rest) <= len(inter) else bid
                     worklist.append(smaller)
                     in_work.add(smaller)
-    # Canonical BFS renumbering of the quotient.
-    reps = [next(iter(blk)) for blk in blocks]
-    order, out_trans = _explore(
-        block_of[0], lambda b: [block_of[t] for t in trans[reps[b]]])
-    return Dfa(a.base, a.arity, out_trans, 0,
-               {i for i, b in enumerate(order) if reps[b] in finals})
+    return block_of
 
 
 def is_empty(a):

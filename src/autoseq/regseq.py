@@ -17,6 +17,7 @@ representation off the resulting weighted automaton.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import automata, logic
 from .automata import Dfa, Nfa, equivalent, minimize, pad_closure
@@ -213,7 +214,9 @@ def linrep_from_nfa(a):
             for t, mult in a.steps[q].get(d, {}).items():
                 m[q][t] = mult
         mats.append(m)
-    semiring = "natinf" if any(isinstance(x, _Infinity) for x in _entries(u, mats, v)) else "nat"
+    weights = chain(u, v, (mult for steps in a.steps for targets in steps.values()
+                           for mult in targets.values()))
+    semiring = "natinf" if any(isinstance(x, _Infinity) for x in weights) else "nat"
     return LinRep(semiring, a.base, u, mats, v)
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from autoseq import automata
 from autoseq.automata import (Dfa, Nfa, StateLimit, _explore, _sccs, complement,
                               determinize, eps_eliminate, equivalent, inflate,
                               is_empty, is_finite, load, minimize, pad_closure,
@@ -240,6 +241,162 @@ def test_minimize_idempotent_and_canonical():
     eq, _ = equivalent(redundant, other)
     assert eq
     assert minimize(other) == m
+
+
+def apart_pairs(a):
+    """Reference: the ordered pairs of states of a that some word tells
+    apart, by pairwise table filling backwards from (final, non-final)."""
+    n = a.n_states
+    pre = [[[] for _ in range(n)] for _ in range(len(a.transitions[0]))]
+    for q, row in enumerate(a.transitions):
+        for s, t in enumerate(row):
+            pre[s][t].append(q)
+    apart = {(p, q) for p in range(n) for q in range(n) if (p in a.finals) != (q in a.finals)}
+    stack = list(apart)
+    while stack:
+        p, q = stack.pop()
+        for into in pre:
+            for p0 in into[p]:
+                for q0 in into[q]:
+                    if (p0, q0) not in apart:
+                        apart.add((p0, q0))
+                        stack.append((p0, q0))
+    return apart
+
+
+def reference_minimize(a):
+    """Minimal DFA from the table-filling classes (each named by its least
+    state), numbered breadth-first from the initial class with symbols in
+    lexicographic order."""
+    apart = apart_pairs(a)
+    cls = [min(p for p in range(a.n_states) if (p, q) not in apart) for q in range(a.n_states)]
+    order = [cls[a.initial]]
+    rows = []
+    for c in order:
+        row = []
+        for t in a.transitions[c]:
+            if cls[t] not in order:
+                order.append(cls[t])
+            row.append(order.index(cls[t]))
+        rows.append(row)
+    return Dfa(a.base, a.arity, rows, 0, {i for i, c in enumerate(order) if c in a.finals})
+
+
+def random_dfa(rng, n_max=14):
+    k = rng.choice((2, 3))
+    arity = rng.choice((1, 2))
+    nsym = k ** arity
+    n = rng.randrange(1, n_max + 1)
+    shape = rng.random()
+    if shape < 0.25:  # chain into an absorbing state: deep distinguishing
+        rows = [[min(q + 1, n - 1)] * nsym for q in range(n)]
+    else:
+        rows = [[rng.randrange(n) for _ in range(nsym)] for _ in range(n)]
+    pick = rng.random()
+    if pick < 0.1:
+        finals = set()
+    elif pick < 0.2:
+        finals = set(range(n))
+    else:
+        finals = {q for q in range(n) if rng.random() < 0.4}
+    return Dfa(k, arity, rows, rng.randrange(n), finals)
+
+
+def with_unreachable(rng, a, extra):
+    """a plus `extra` states that nothing reaches (they may reach a)."""
+    n = a.n_states + extra
+    rows = [list(r) for r in a.transitions]
+    rows += [[rng.randrange(n) for _ in range(len(rows[0]))] for _ in range(extra)]
+    finals = set(a.finals) | {q for q in range(a.n_states, n) if rng.random() < 0.5}
+    return Dfa(a.base, a.arity, rows, a.initial, finals)
+
+
+def renumbered(a, perm):
+    """The same DFA with state q renamed perm[q]."""
+    rows = [None] * a.n_states
+    for q, row in enumerate(a.transitions):
+        rows[perm[q]] = [perm[t] for t in row]
+    return Dfa(a.base, a.arity, rows, perm[a.initial], {perm[q] for q in a.finals})
+
+
+def counting_hopcroft(monkeypatch):
+    calls = []
+    real = automata._hopcroft
+
+    def spy(trans, cls, count):
+        calls.append(len(trans))
+        return real(trans, cls, count)
+
+    monkeypatch.setattr(automata, "_hopcroft", spy)
+    return calls
+
+
+def deep_chain(n, nsym=2):
+    """Chain of n states and a sink accepting only words of length n - 1:
+    state i is told apart from i + 1 first by words of length n - 1 - i,
+    so the distinguishing depth is n - 1."""
+    rows = [[q + 1] * nsym for q in range(n - 1)] + [[n] * nsym, [n] * nsym]
+    return Dfa(2, 1 if nsym == 2 else 2, rows, 0, {n - 1})
+
+
+def test_minimize_matches_table_filling_on_random_dfas(monkeypatch):
+    hopcroft_calls = counting_hopcroft(monkeypatch)
+    rng = random.Random(2024)
+    for i in range(400):
+        a = random_dfa(rng)
+        if i % 3 == 0:
+            a = with_unreachable(rng, a, rng.randrange(1, 5))
+        assert minimize(a) == reference_minimize(a), (a.transitions, a.initial, a.finals)
+    # the draws include chains deep enough to be handed to Hopcroft
+    assert 0 < len(hopcroft_calls) < 400
+
+
+def test_minimize_hands_deep_chains_to_hopcroft(monkeypatch):
+    hopcroft_calls = counting_hopcroft(monkeypatch)
+    deep = deep_chain(1500)
+    m = minimize(deep)
+    assert hopcroft_calls == [deep.n_states]
+    assert m == deep  # already minimal and in breadth-first order
+    hopcroft_calls.clear()
+    # shallow: every state reaches every other within a few digits
+    rows = [[(q * 3 + s) % 40 for s in range(4)] for q in range(40)]
+    shallow = Dfa(2, 2, rows, 0, {q for q in range(40) if q % 3 == 1})
+    assert minimize(shallow) == reference_minimize(shallow)
+    assert hopcroft_calls == []
+
+
+def test_hopcroft_refines_any_sound_seed_to_language_classes():
+    rng = random.Random(11)
+    for _ in range(200):
+        a = with_unreachable(rng, random_dfa(rng), rng.randrange(3))
+        n = a.n_states
+        apart = apart_pairs(a)
+        # seed: acceptance, with some language classes already split off
+        seed = {}
+        cls = []
+        for q in range(n):
+            rep = min(p for p in range(n) if (p, q) not in apart)
+            key = (q in a.finals, rep if rep % 3 == 0 else None)
+            cls.append(seed.setdefault(key, len(seed)))
+        out = automata._hopcroft(a.transitions, cls, len(seed))
+        for p in range(n):
+            for q in range(n):
+                assert (out[p] != out[q]) == ((p, q) in apart), (a.transitions, a.finals, cls)
+
+
+def test_minimize_ignores_state_numbering():
+    rng = random.Random(77)
+    for _ in range(150):
+        a = random_dfa(rng)
+        if rng.random() < 0.5:
+            a = with_unreachable(rng, a, rng.randrange(1, 4))
+        perm = list(range(a.n_states))
+        rng.shuffle(perm)
+        assert minimize(renumbered(a, perm)) == minimize(a)
+    deep = deep_chain(300, nsym=4)
+    perm = list(range(deep.n_states))
+    rng.shuffle(perm)
+    assert minimize(renumbered(deep, perm)) == minimize(deep) == deep
 
 
 def test_is_empty_examples():

@@ -277,6 +277,19 @@ def test_deterministic_gives_characteristic():
         assert rep.eval_word(w) == (1 if d.accepts(word) else 0)
 
 
+def test_linrep_from_nfa_semiring_follows_the_nfa_weights():
+    def nfa(initial=1, final=1, step=1):
+        a = Nfa(2, 1, 2, initials={0: initial}, finals={1: final})
+        a.steps[0][1] = {1: step}
+        return a
+
+    assert linrep_from_nfa(nfa()).semiring == "nat"
+    for where in ("initial", "final", "step"):
+        rep = linrep_from_nfa(nfa(**{where: INF}))
+        assert rep.semiring == "natinf", where
+        assert rep.eval_word((1,)) == INF
+
+
 def test_roundtrip_nfa_linrep_100_random():
     rng = random.Random(424)
     for _ in range(100):
