@@ -21,8 +21,8 @@ class StateLimit(RuntimeError):
 
 _ALPHABETS = {}
 _TRACK_MAPS = {}
-# Bit positions set in each byte value: determinize walks the members of a
-# subset a byte at a time.
+# Bit positions set in each byte value: the subset construction walks the
+# members of a subset a byte at a time.
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
@@ -249,33 +249,31 @@ class Nfa:
         return f"<Nfa base={self.base} arity={self.arity} states={self.n_states}>"
 
 
-def determinize(a, limit=None):
-    """Subset construction; multiplicities collapse to plain membership.
+def _mask(states):
+    """Bitmask with bit q set for every q in states."""
+    m = 0
+    for q in states:
+        m |= 1 << q
+    return m
 
-    A subset is a bitmask over the NFA states.  packed[q] holds q's
+
+def _members(mask):
+    """Set bits of mask, in increasing order."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * i + bit for i, byte in enumerate(data) if byte for bit in _BYTE_BITS[byte]]
+
+
+def _subsets(base, arity, packed, start, final_mask, limit):
+    """Subset construction over packed rows, the one kernel behind
+    determinize and determinize_reverse.
+
+    A subset is a bitmask over the n source states.  packed[q] holds q's
     successor sets for every symbol at once, symbol s in bits
     [s*n, (s+1)*n), so the successors of a subset cost one big-integer OR
     per member, after which one shift and mask per symbol splits them.
     """
-    if a.has_eps():
-        raise ValueError("determinize requires an epsilon-free NFA; call eps_eliminate first")
-    n = a.n_states
-    shifts = [s * n for s in range(a.base ** a.arity)]
-    packed = []
-    for steps in a.steps:
-        row = 0
-        for s, targets in steps.items():
-            m = 0
-            for t in targets:
-                m |= 1 << t
-            row |= m << shifts[s]
-        packed.append(row)
-    final_mask = 0
-    for q in a.finals:
-        final_mask |= 1 << q
-    start = 0
-    for q in a.initials:
-        start |= 1 << q
+    n = len(packed)
+    shifts = [s * n for s in range(base ** arity)]
     nbytes = (n + 7) // 8
     full = (1 << n) - 1
     byte_rows = [packed[i:i + 8] for i in range(0, n, 8)]
@@ -289,8 +287,48 @@ def determinize(a, limit=None):
         return [acc >> sh & full for sh in shifts]
 
     subsets, rows = _explore(start, successors, limit)
-    return Dfa(a.base, a.arity, rows, 0,
+    return Dfa(base, arity, rows, 0,
                {i for i, subset in enumerate(subsets) if subset & final_mask})
+
+
+def determinize(a, limit=None):
+    """Subset construction; multiplicities collapse to plain membership."""
+    if a.has_eps():
+        raise ValueError("determinize requires an epsilon-free NFA; call eps_eliminate first")
+    n = a.n_states
+    packed = [0] * n
+    for q, steps in enumerate(a.steps):
+        for s, targets in steps.items():
+            packed[q] |= _mask(targets) << s * n
+    return _subsets(a.base, a.arity, packed, _mask(a.initials), _mask(a.finals), limit)
+
+
+def determinize_reverse(a, drop=(), pad=False, limit=None):
+    """determinize(reverse(project_many(a, drop))), read straight off the
+    transition table of the complete DFA a; an empty drop projects nothing.
+
+    With pad the start subset is closed along symbol 0: in reverse,
+    trailing zeros lead, so the result accepts the reversal of w whenever
+    the projection accepts some w·0^j.  Determinizing the reversal of a
+    reachable DFA gives the minimal DFA of its reversed language
+    (Brzozowski).
+    """
+    n = a.n_states
+    keep = _kept_tracks(a, drop)
+    nsym = a.base ** len(keep)
+    bits = [1 << q for q in range(n)]
+    pre = [[0] * n for _ in range(nsym)]  # pre[s][t]: predecessors of t on s
+    for s, col in zip(_track_map(a.base, a.arity, keep), zip(*a.transitions)):
+        masks = pre[s]
+        for bit, t in zip(bits, col):
+            masks[t] |= bit
+    starts = a.finals
+    if pad:
+        starts = _reachable(starts, lambda t: _members(pre[0][t]))
+    packed = pre.pop()
+    while pre:  # last symbol first, freeing each symbol's masks once packed
+        packed = [row << n | m for row, m in zip(packed, pre.pop())]
+    return _subsets(a.base, len(keep), packed, _mask(starts), bits[a.initial], limit)
 
 
 def reverse(a):
@@ -351,6 +389,16 @@ def project(a, track):
     return project_many(a, {track})
 
 
+def _kept_tracks(a, tracks):
+    """Tracks of a left after dropping tracks, which must leave at least one."""
+    tracks = set(tracks)
+    if not tracks <= set(range(a.arity)):
+        raise IndexError(f"tracks {sorted(tracks)} out of range for arity {a.arity}")
+    if len(tracks) >= a.arity:
+        raise ValueError("cannot project every track; use is_empty instead")
+    return [t for t in range(a.arity) if t not in tracks]
+
+
 def project_many(a, tracks):
     """Drop several tracks at once.
 
@@ -358,12 +406,7 @@ def project_many(a, tracks):
     projecting one track at a time: the single subset construction decides
     all removed witnesses together.
     """
-    tracks = set(tracks)
-    if not tracks <= set(range(a.arity)):
-        raise IndexError(f"tracks {sorted(tracks)} out of range for arity {a.arity}")
-    if len(tracks) >= a.arity:
-        raise ValueError("cannot project every track; use is_empty instead")
-    keep = [t for t in range(a.arity) if t not in tracks]
+    keep = _kept_tracks(a, tracks)
     mapping = _track_map(a.base, a.arity, keep)
     steps = []
     for row in a.transitions:

@@ -157,6 +157,54 @@ def test_project_many_counts_colliding_symbols():
     assert (nfa.initials, nfa.finals) == ({0: 1}, {1: 1})
 
 
+def reverse_projection_reference(a, drop, pad, limit=None):
+    """determinize(reverse(project_many(a, drop))), the start closed along
+    symbol 0 when pad is set."""
+    rev = reverse(project_many(a, drop))
+    if pad:
+        closed = set(rev.initials)
+        stack = list(closed)
+        while stack:
+            for q in rev.steps[stack.pop()].get(0, ()):
+                if q not in closed:
+                    closed.add(q)
+                    stack.append(q)
+        rev.initials = dict.fromkeys(closed, 1)
+    return determinize(rev, limit)
+
+
+def test_determinize_reverse_matches_reversed_projection():
+    rng = random.Random(8)
+    sizes = []
+    for k, arity in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)):
+        nsym = k ** arity
+        drops = [set(c) for r in range(arity) for c in itertools.combinations(range(arity), r)]
+        cases = list(itertools.product(drops, (False, True)))
+        for trial in range(10):
+            wants = None
+            while wants is None:  # redraw the few DFAs whose reversals explode
+                n = rng.choice((1, 2, 5, 8, 9, 12))
+                rows = [[rng.randrange(n) for _ in range(nsym)] for _ in range(n)]
+                finals = (set(), set(range(n)))[trial] if trial < 2 else {
+                    q for q in range(n) if rng.random() < 0.4}
+                a = Dfa(k, arity, rows, rng.randrange(n), finals)
+                try:
+                    wants = [reverse_projection_reference(a, drop, pad, 1500)
+                             for drop, pad in cases]
+                except StateLimit:
+                    pass
+            for (drop, pad), want in zip(cases, wants):
+                sizes.append(want.n_states)
+                got = automata.determinize_reverse(a, drop, pad=pad)
+                assert got == want, (rows, a.initial, finals, drop, pad)
+                assert automata.determinize_reverse(a, drop, pad, want.n_states) == want
+                if want.n_states > 1:  # the start subset is never refused
+                    for route in (reverse_projection_reference, automata.determinize_reverse):
+                        with pytest.raises(StateLimit):
+                            route(a, drop, pad, limit=want.n_states - 1)
+    assert sum(size > 40 for size in sizes) >= 20, sizes  # not only trivial cases
+
+
 def test_dfa_rejects_out_of_range_targets():
     with pytest.raises(ValueError, match="transition target 5 out of range"):
         Dfa(2, 1, [[0, 1], [5, -1]], 0, set())

@@ -280,7 +280,7 @@ def test_peak_states_covers_intermediate_constructions(monkeypatch):
             return out
         return wrapper
 
-    monkeypatch.setattr(logic, "determinize", recording(logic.determinize))
+    monkeypatch.setattr(logic, "determinize_reverse", recording(logic.determinize_reverse))
     monkeypatch.setattr(logic, "product", recording(logic.product))
     cfg = CompileConfig()
     compile(parse("E i (n >= 1) & (A t (t < n) => x[i+t] = x[i+n+t])"), ENV, cfg)
