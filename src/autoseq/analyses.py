@@ -385,12 +385,8 @@ def linear_complexity_check(l):
         return LinearBound(False)
     k = l.base
     r = l.rank
-    m = 1
-    for mat in l.mats:
-        for row in mat:
-            for entry in row:
-                if isinstance(entry, int) and entry > m:
-                    m = entry
+    m = max((x for rows in l._rows for row in rows for _, x in row if isinstance(x, int)),
+            default=1)
     return LinearBound(True, k ** (r + 1) * m ** r, k ** r * m ** r)
 
 

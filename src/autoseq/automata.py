@@ -562,30 +562,21 @@ def is_empty(a):
     The witness is the lexicographically least among the shortest accepted
     words.
     """
-    if a.initial in a.finals:
-        return False, DigitWord(a.base, a.arity, ())
+    keys, rows = _explore(a.initial, a.transitions.__getitem__)
+    first = next((i for i, q in enumerate(keys) if q in a.finals), None)
+    if first is None:
+        return True, None
+    parent = {}  # state id -> its discovering edge, the first (id, symbol) reaching it
+    for i, row in enumerate(rows[:first]):
+        for s, t in enumerate(row):
+            parent.setdefault(t, (i, s))
     syms = sym_tuples(a.base, a.arity)
-    parent = {a.initial: None}
-    queue = [a.initial]
-    i = 0
-    while i < len(queue):
-        q = queue[i]
-        for s in range(len(syms)):
-            t = a.transitions[q][s]
-            if t not in parent:
-                parent[t] = (q, s)
-                if t in a.finals:
-                    word = []
-                    cur = t
-                    while parent[cur] is not None:
-                        prev, sym = parent[cur]
-                        word.append(syms[sym])
-                        cur = prev
-                    word.reverse()
-                    return False, DigitWord(a.base, a.arity, tuple(word))
-                queue.append(t)
-        i += 1
-    return True, None
+    word = []
+    while first:  # id 0 is the initial state
+        first, s = parent[first]
+        word.append(syms[s])
+    word.reverse()
+    return False, DigitWord(a.base, a.arity, tuple(word))
 
 
 def is_finite(a):

@@ -75,6 +75,14 @@ def _sparse(m):
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
 
 
+def _dense(row, r):
+    """Width-r dense form of a sparse row."""
+    out = [0] * r
+    for j, x in row:
+        out[j] = x
+    return tuple(out)
+
+
 def _vec_mat(u, rows):
     """u . M for M given by its sparse rows.  Zero terms are skipped rather
     than multiplied, so 0 * inf = 0 holds without a special case."""
@@ -95,45 +103,60 @@ def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def _entries(u, mats, v):
-    yield from u
-    for m in mats:
-        for row in m:
-            yield from row
-    yield from v
-
-
-def _transpose(m):
-    return tuple(tuple(row[i] for row in m) for i in range(len(m[0]))) if m else ()
+def _entries(l):
+    """Every nonzero matrix entry of l, with all of u and v."""
+    yield from l.u
+    for rows in l._rows:
+        for row in rows:
+            for _, x in row:
+                yield x
+    yield from l.v
 
 
 _SEMIRINGS = ("nat", "natinf", "rat")
 
 
 class LinRep:
-    """Linear representation (u, mu, v) over a declared semiring."""
+    """Linear representation (u, mu, v) over a declared semiring.
+
+    Each mu(d) is stored only as its sparse rows: rows[d][i] holds the
+    nonzero (column, value) pairs of row i, columns ascending, so two
+    representations are equal exactly when their stored forms are.
+    """
 
     def __init__(self, semiring, base, u, mats, v):
         if semiring not in _SEMIRINGS:
             raise ValueError(f"unknown semiring {semiring!r}")
-        self.semiring = semiring
-        self.base = base
-        self.u = tuple(u)
-        self.mats = tuple(tuple(tuple(row) for row in m) for m in mats)
-        self.v = tuple(v)
-        self.inf_part = None  # optional InfDecomposition, set by producers
-        self._view = None     # rational view, built on first use by _rational_view
-        r = len(self.u)
-        if len(self.mats) != base:
-            raise ValueError(f"need one matrix per digit, got {len(self.mats)}")
-        for m in self.mats:
+        u, mats, v = tuple(u), tuple(mats), tuple(v)
+        r = len(u)
+        if len(mats) != base:
+            raise ValueError(f"need one matrix per digit, got {len(mats)}")
+        for m in mats:
             if len(m) != r or any(len(row) != r for row in m):
                 raise ValueError("matrix rank mismatch")
-        if len(self.v) != r:
+        if len(v) != r:
             raise ValueError("vector rank mismatch")
-        for entry in _entries(self.u, self.mats, self.v):
+        self._set(semiring, base, u, tuple(_sparse(m) for m in mats), v)
+        for entry in chain(u, v, (x for m in mats for row in m for x in row)):
             self._check_entry(entry)
-        self._rows = tuple(_sparse(m) for m in self.mats)
+
+    @classmethod
+    def _from_rows(cls, semiring, base, u, rows, v):
+        """Representation built straight from sparse rows: rows[d][i] lists
+        the nonzero (column, value) pairs of mu(d)'s row i, columns
+        ascending.  Nothing is checked."""
+        l = cls.__new__(cls)
+        l._set(semiring, base, tuple(u), tuple(tuple(map(tuple, m)) for m in rows), tuple(v))
+        return l
+
+    def _set(self, semiring, base, u, rows, v):
+        self.semiring = semiring
+        self.base = base
+        self.u = u
+        self._rows = rows
+        self.v = v
+        self.inf_part = None  # optional InfDecomposition, set by producers
+        self._view = None     # rational view, built on first use by _rational_view
 
     def _check_entry(self, x):
         if self.semiring == "nat":
@@ -149,6 +172,11 @@ class LinRep:
     @property
     def rank(self):
         return len(self.u)
+
+    @property
+    def mats(self):
+        """Dense matrices mu(0), ..., mu(k-1), built from the rows on each access."""
+        return tuple(tuple(_dense(row, self.rank) for row in rows) for rows in self._rows)
 
     def eval_word(self, digits):
         """Value of the series at an lsd-first digit sequence."""
@@ -170,8 +198,8 @@ class LinRep:
 
     def __eq__(self, other):
         return (isinstance(other, LinRep)
-                and (self.semiring, self.base, self.u, self.mats, self.v)
-                == (other.semiring, other.base, other.u, other.mats, other.v))
+                and (self.semiring, self.base, self.u, self._rows, self.v)
+                == (other.semiring, other.base, other.u, other._rows, other.v))
 
     def __repr__(self):
         return f"<LinRep {self.semiring} base={self.base} rank={self.rank}>"
@@ -207,17 +235,12 @@ def linrep_from_nfa(a):
     n = a.n_states
     u = tuple(a.initials.get(q, 0) for q in range(n))
     v = tuple(a.finals.get(q, 0) for q in range(n))
-    mats = []
-    for d in range(a.base):
-        m = [[0] * n for _ in range(n)]
-        for q in range(n):
-            for t, mult in a.steps[q].get(d, {}).items():
-                m[q][t] = mult
-        mats.append(m)
+    rows = [[sorted(steps[d].items()) if d in steps else () for steps in a.steps]
+            for d in range(a.base)]
     weights = chain(u, v, (mult for steps in a.steps for targets in steps.values()
                            for mult in targets.values()))
     semiring = "natinf" if any(isinstance(x, _Infinity) for x in weights) else "nat"
-    return LinRep(semiring, a.base, u, mats, v)
+    return LinRep._from_rows(semiring, a.base, u, rows, v)
 
 
 def _rank_pad(l):
@@ -225,16 +248,18 @@ def _rank_pad(l):
     r = l.rank
     u2 = (1,) + (0,) * (r + 1)
     v2 = (0,) * (r + 1) + (1,)
-    mats2 = []
-    for m, rows in zip(l.mats, l._rows):
+    rows2 = []
+    for rows in l._rows:
+        # state 0 is the new start, 1..r the old states, r + 1 the new end
         um = _vec_mat(l.u, rows)
-        umv = _dot(um, l.v)
-        mv = _mat_vec(rows, l.v)
-        top = (0,) + um + (umv,)
-        middle = [(0,) + m[i] + (mv[i],) for i in range(r)]
-        bottom = (0,) * (r + 2)
-        mats2.append((top, *middle, bottom))
-    return LinRep(l.semiring, l.base, u2, mats2, v2)
+        top = [(j + 1, x) for j, x in enumerate(um) if x]
+        middle = [[(j + 1, x) for j, x in row] for row in rows]
+        # the end column holds u.M.v in the top row and M.v below it
+        for line, x in zip([top, *middle], (_dot(um, l.v),) + _mat_vec(rows, l.v)):
+            if x:
+                line.append((r + 1, x))
+        rows2.append([top, *middle, ()])
+    return LinRep._from_rows(l.semiring, l.base, u2, rows2, v2)
 
 
 def nfa_from_linrep(l):
@@ -248,15 +273,13 @@ def nfa_from_linrep(l):
         raise ValueError("nfa_from_linrep needs a series over the naturals")
     l2 = _rank_pad(l)
     n = l2.rank
-    m = max((x for mat in l2.mats for row in mat for x in row), default=0)
-    m = max(m, 1)
+    m = max((x for rows in l2._rows for row in rows for _, x in row), default=1)
     nfa = Nfa(l.base, 1, n * m, initials={0: 1}, finals={})
     for s in range(m):
         nfa.finals[(n - 1) * m + s] = 1
-    for d, mat in enumerate(l2.mats):
-        for i in range(n):
-            for r in range(n):
-                count = mat[i][r]
+    for d, rows in enumerate(l2._rows):
+        for i, row in enumerate(rows):
+            for r, count in row:
                 for j in range(m):
                     for s in range(count):
                         nfa.add_edge(i * m + j, d, r * m + s)
@@ -267,8 +290,8 @@ def nfa_from_linrep(l):
 # Exact epsilon saturation
 
 def _eps_star(n, eps):
-    """D = sum of all epsilon-path weights; entry INF iff some connecting
-    path passes through an epsilon cycle."""
+    """Sparse rows of D = sum of all epsilon-path weights; entry INF iff
+    some connecting path passes through an epsilon cycle."""
     succ = [list(eps[q].keys()) for q in range(n)]
     sccs = automata._sccs(range(n), succ.__getitem__)
     scc_of = [0] * n
@@ -307,20 +330,15 @@ def _eps_star(n, eps):
                 for j, c in rows[t].items():
                     row[j] = row.get(j, 0) + mult * c
             rows[q] = row
-    d = []
     for q in range(n):
-        row = [0] * n
-        mask = inf_targets[q]
-        if not cyclic[q] and rows[q]:
-            for j, c in rows[q].items():
-                row[j] = c
-        rem = mask
+        row = {} if cyclic[q] else rows[q]
+        rem = inf_targets[q]
         while rem:
             low = rem & -rem
             row[low.bit_length() - 1] = INF
             rem ^= low
-        d.append(tuple(row))
-    return tuple(d)
+        rows[q] = tuple(sorted(row.items()))
+    return rows
 
 
 def eps_saturate(a):
@@ -333,7 +351,7 @@ def eps_saturate(a):
     if not a.has_eps():
         return a
     n = a.n_states
-    d = _sparse(_eps_star(n, a.eps))
+    d = _eps_star(n, a.eps)
     out = Nfa(a.base, a.arity, n, initials=dict(a.initials), finals={})
     v = [a.finals.get(q, 0) for q in range(n)]
     new_v = _mat_vec(d, v)
@@ -389,8 +407,14 @@ def trim_nfa(a):
 
 def reverse_series(l):
     """Representation of the mirror series: value(w) = original(reversed w)."""
-    return LinRep(l.semiring, l.base,
-                  l.v, tuple(_transpose(m) for m in l.mats), l.u)
+    transposed = []
+    for rows in l._rows:
+        cols = [[] for _ in rows]
+        for i, row in enumerate(rows):
+            for j, x in row:
+                cols[j].append((i, x))
+        transposed.append(cols)
+    return LinRep._from_rows(l.semiring, l.base, l.v, transposed, l.u)
 
 
 def normalize_leading(l):
@@ -399,17 +423,9 @@ def normalize_leading(l):
     r = l.rank
     zero = Fraction(0) if l.semiring == "rat" else 0
     u2 = (zero,) * r + l.u
-    mats2 = []
-    for d, m in enumerate(l.mats):
-        rows = [tuple(m[i]) + (zero,) * r for i in range(r)]
-        if d == 0:
-            rows += [(zero,) * r + tuple(1 if i == j else 0 for j in range(r))
-                     for i in range(r)]
-        else:
-            rows += [tuple(m[i]) + (zero,) * r for i in range(r)]
-        mats2.append(tuple(rows))
-    v2 = l.v + l.v
-    return LinRep(l.semiring, l.base, u2, mats2, v2)
+    identity = tuple(((r + i, 1),) for i in range(r))
+    rows2 = [l._rows[0] + identity] + [rows + rows for rows in l._rows[1:]]
+    return LinRep._from_rows(l.semiring, l.base, u2, rows2, l.v + l.v)
 
 
 def normalize_trailing(l):
@@ -452,9 +468,10 @@ def decompose_infinity(l, limit=1_000_000):
     locus = minimize(automata.determinize(trim_nfa(nfa), limit))
     if l.semiring == "nat":
         return InfDecomposition(locus, l)
-    finite = LinRep("nat", k, tuple(_xi(x) for x in l.u),
-                    tuple(tuple(tuple(_xi(x) for x in row) for row in m) for m in l.mats),
-                    tuple(_xi(x) for x in l.v))
+    finite = LinRep._from_rows(
+        "nat", k, map(_xi, l.u),
+        [[[(j, x) for j, x in row if x is not INF] for row in rows] for rows in l._rows],
+        map(_xi, l.v))
     return InfDecomposition(locus, finite)
 
 
@@ -463,13 +480,8 @@ def _char_rep(dfa):
     n = dfa.n_states
     u = tuple(1 if q == dfa.initial else 0 for q in range(n))
     v = tuple(1 if q in dfa.finals else 0 for q in range(n))
-    mats = []
-    for d in range(dfa.base):
-        m = [[0] * n for _ in range(n)]
-        for q in range(n):
-            m[q][dfa.transitions[q][d]] = 1
-        mats.append(m)
-    return LinRep("nat", dfa.base, u, mats, v)
+    rows = [[((dfa.transitions[q][d], 1),) for q in range(n)] for d in range(dfa.base)]
+    return LinRep._from_rows("nat", dfa.base, u, rows, v)
 
 
 def _hadamard(a, b):
@@ -479,13 +491,12 @@ def _hadamard(a, b):
     ra, rb = a.rank, b.rank
     u = tuple(a.u[i] * b.u[j] for i in range(ra) for j in range(rb))
     v = tuple(a.v[i] * b.v[j] for i in range(ra) for j in range(rb))
-    mats = []
-    for d in range(a.base):
-        ma, mb = a.mats[d], b.mats[d]
-        m = [[ma[i][x] * mb[j][y] for x in range(ra) for y in range(rb)]
-             for i in range(ra) for j in range(rb)]
-        mats.append(m)
-    return LinRep(a.semiring if a.semiring != "nat" else b.semiring, a.base, u, mats, v)
+    # nonzero entries of both semirings have nonzero products
+    rows = [[[(x * rb + y, p * q) for x, p in row_a for y, q in row_b]
+             for row_a in rows_a for row_b in rows_b]
+            for rows_a, rows_b in zip(a._rows, b._rows)]
+    return LinRep._from_rows(a.semiring if a.semiring != "nat" else b.semiring,
+                             a.base, u, rows, v)
 
 
 def push_infinity_to_u(l):
@@ -501,14 +512,10 @@ def push_infinity_to_u(l):
     chi = _char_rep(locus)
     u = masked.u + tuple(INF if x == 1 else 0 for x in chi.u)
     v = masked.v + chi.v
-    mats = []
-    for d in range(l.base):
-        ma, mb = masked.mats[d], chi.mats[d]
-        ra, rb = masked.rank, chi.rank
-        rows = [tuple(ma[i]) + (0,) * rb for i in range(ra)]
-        rows += [(0,) * ra + tuple(mb[i]) for i in range(rb)]
-        mats.append(rows)
-    out = LinRep("natinf", l.base, u, mats, v)
+    ra = masked.rank
+    rows = [rows_a + tuple(tuple((ra + j, x) for j, x in row) for row in rows_b)
+            for rows_a, rows_b in zip(masked._rows, chi._rows)]
+    out = LinRep._from_rows("natinf", l.base, u, rows, v)
     out.inf_part = dec
     return out
 
@@ -651,8 +658,7 @@ def _rational_view(l):
     stay integers until their dot products with it.
     """
     if l._view is None:
-        if l.semiring == "natinf" and any(
-                isinstance(x, _Infinity) for x in _entries(l.u, l.mats, l.v)):
+        if l.semiring == "natinf" and any(isinstance(x, _Infinity) for x in _entries(l)):
             raise ValueError("kernel relations need a series without infinities")
         g = l if l.trailing_normalized() else normalize_trailing(l)
         l._view = (g.u, g._rows, _observability_basis(g.v, g._rows))
@@ -864,9 +870,9 @@ def store(l):
     """Text form: header, u row, the base matrices row by row, then v."""
     lines = [f"linrep semiring={l.semiring} base={l.base} rank={l.rank}"]
     lines.append(" ".join(_entry_str(x) for x in l.u))
-    for m in l.mats:
-        for row in m:
-            lines.append(" ".join(_entry_str(x) for x in row))
+    for rows in l._rows:
+        for row in rows:
+            lines.append(" ".join(_entry_str(x) for x in _dense(row, l.rank)))
     lines.append(" ".join(_entry_str(x) for x in l.v))
     return "\n".join(lines) + "\n"
 

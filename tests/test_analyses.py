@@ -324,3 +324,20 @@ def test_constant_sequence_separator_is_infinite():
     assert rep.evaluate(0) == 0
     for n in range(1, 8):
         assert rep.evaluate(n) == INF
+
+
+def test_unbordered_count_of_a_large_rank_dfao():
+    # Its counting series has rank 14,888; every stage of the pipeline must
+    # stay sparse for this to finish in seconds.  The values agree with
+    # oracle.brute on a 256,000-letter prefix.  The default certification
+    # of an 8,000-letter prefix is not enough for this sequence, which is
+    # not uniformly recurrent: it reads 259 at n = 42.
+    x = Dfao(2, ((0, 3), (1, 1), (3, 0), (3, 2)), 0, (0, 1, 1, 1))
+    rep = measure(x, "unbordered-count")
+    assert rep.rank == 14_888
+    assert [rep.evaluate(n) for n in range(1, 81)] == [
+        2, 2, 4, 6, 12, 16, 20, 28, 38, 42, 44, 48, 52, 62, 70, 80, 84, 84, 90, 98,
+        104, 116, 128, 134, 136, 146, 150, 156, 160, 168, 174, 178, 180, 182, 182, 196,
+        208, 224, 240, 250, 254, 260, 266, 282, 290, 306, 312, 314, 314, 314, 320, 328,
+        328, 334, 338, 338, 332, 336, 338, 350, 362, 372, 378, 390, 392, 390, 384, 390,
+        394, 410, 426, 442, 446, 448, 460, 480, 492, 514, 528, 540]

@@ -237,13 +237,43 @@ def test_sparse_evaluation_matches_dense_reference():
     assert seen == {"nat", "natinf", "rat"}
 
 
+def test_rows_built_producers_store_the_canonical_form():
+    """Producers that build sparse rows directly must store what the public
+    constructor derives (columns ascending, no zero entries), or __eq__ and
+    store/load would disagree with equal dense inputs."""
+    rng = random.Random(1357)
+
+    def canonical(l):
+        assert LinRep(l.semiring, l.base, l.u, l.mats, l.v) == l
+        assert load(store(l)) == l
+
+    for _ in range(20):
+        k, rank = rng.choice([2, 3]), rng.randrange(1, 4)
+        nat = with_zero_lines(rng, rand_linrep(rng, k, rank))
+        natinf = rand_natinf(rng, k, rank)
+        for l in (nat, natinf, rand_rat(rng, k, rank)):
+            for g in (regseq._rank_pad(l), reverse_series(l), normalize_leading(l),
+                      normalize_trailing(l), regseq._hadamard(l, l)):
+                canonical(g)
+        for l in (nat, natinf):
+            dec = decompose_infinity(l)
+            canonical(dec.finite_part)
+            canonical(regseq._char_rep(dec.infinite_part))
+            canonical(push_infinity_to_u(l))
+        canonical(linrep_from_nfa(nfa_from_linrep(nat)))
+        canonical(linrep_from_nfa(eps_saturate(rand_nfa(rng, k, rank + 2, eps_p=0.3))))
+
+
 def test_eps_saturate_matches_dense_reference():
     rng = random.Random(8080)
     saw_inf = False
     for _ in range(40):
         nfa = rand_nfa(rng, 2, rng.randrange(1, 6), eps_p=0.25, edge_p=0.2)
         n = nfa.n_states
-        d = regseq._eps_star(n, nfa.eps)
+        d = [[0] * n for _ in range(n)]
+        for q, row in enumerate(regseq._eps_star(n, nfa.eps)):
+            for j, x in row:
+                d[q][j] = x
         saw_inf |= any(x == INF for row in d for x in row)
         sat = eps_saturate(nfa)
         v = tuple(nfa.finals.get(q, 0) for q in range(n))
