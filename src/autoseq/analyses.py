@@ -293,18 +293,23 @@ def has_arbitrarily_large_unbordered(x, config=None):
     return not is_finite(_canonical_only(ones))
 
 
+def uniformly_recurrent(x, config=None):
+    """Decide whether every factor of x recurs within bounded gaps."""
+    return decide(parse(
+        "A r E t A n E m (n < m) & (m < n + t) & (A i (i < r) => (x[n+i] = x[m+i]))"),
+        {"x": x}, config or CompileConfig()).value
+
+
 def recurrence_flags(x, config=None):
     """(recurrent, uniformly recurrent, ultimately periodic) decisions."""
     env = {"x": x}
     cfg = config or CompileConfig()
     rec = decide(parse(
         "A n A r E m (n < m) & (A j (j < r) => (x[n+j] = x[m+j]))"), env, cfg)
-    urec = decide(parse(
-        "A r E t A n E m (n < m) & (m < n + t) & (A i (i < r) => (x[n+i] = x[m+i]))"),
-        env, cfg)
+    urec = uniformly_recurrent(x, cfg)
     up = decide(parse(
         "E p (1 <= p) & (E s A n (s <= n) => (x[n] = x[n+p]))"), env, cfg)
-    return rec.value, urec.value, up.value
+    return rec.value, urec, up.value
 
 
 @dataclass

@@ -5,13 +5,15 @@ oracle-compare, export-automaton, eval-seq.  Numbers on the command line
 and in printed output are ordinary decimals; files carry lsd-first
 automata with the convention declared in their headers.
 
-Exit codes: 0 success, 1 FALSE/FAIL verdict, 2 usage or parse error,
-3 resource ceiling or certification refusal, 4 internal error.
+Exit codes: 0 success, 1 FALSE/FAIL verdict, 2 user error (command line,
+predicate syntax or compilation, unreadable input file), 3 resource ceiling
+or certification refusal, 4 internal error.
 """
 
 import argparse
 import sys
 import time
+import traceback
 
 from . import analyses, automata, logic, oracle, regseq, seqgen
 
@@ -20,6 +22,10 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+
+
+class UsageError(ValueError):
+    """A mistake on the command line or in an input file."""
 
 
 class Session:
@@ -32,33 +38,48 @@ class Session:
         for spec_arg in seq_args or ():
             name, _, path = spec_arg.partition("=")
             if not path:
-                raise ValueError(f"--seq needs name=file, got {spec_arg!r}")
-            with open(path, encoding="utf-8") as fh:
-                self.sequences[name] = seqgen.load(fh.read())
+                raise UsageError(f"--seq needs name=file, got {spec_arg!r}")
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    self.sequences[name] = seqgen.load(fh.read())
+            except (OSError, ValueError) as exc:
+                raise UsageError(f"cannot load sequence {name!r} from {path}: {exc}") from None
         self.base = base
         bases = {s.base for s in self.sequences.values()} | {base}
         if len(bases) > 1:
-            raise ValueError(f"bound sequences disagree on the base: {sorted(bases)}")
+            raise UsageError(f"bound sequences disagree on the base: {sorted(bases)}")
         self.config = logic.CompileConfig(max_states=max_states, default_base=base)
 
     def env_for(self, formula):
         names = logic.sequence_names(formula)
         missing = names - set(self.sequences)
         if missing:
-            raise ValueError(f"unbound sequences: {sorted(missing)}")
+            raise UsageError(f"unbound sequences: {sorted(missing)}")
         return {name: self.sequences[name] for name in names}
 
     def sequence(self, name):
         if name not in self.sequences:
-            raise ValueError(f"unknown sequence {name!r}; bind it with --seq {name}=FILE")
+            raise UsageError(f"unknown sequence {name!r}; bind it with --seq {name}=FILE")
         return self.sequences[name]
 
 
 def _parse_range(text):
     lo, sep, hi = text.partition("..")
-    if sep:
-        return range(int(lo), int(hi) + 1)
-    return range(int(lo), int(lo) + 1)
+    try:
+        return range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise UsageError(f"bad range {text!r}; expected N or LO..HI") from None
+
+
+def _measure(session, x, args, y=None):
+    """analyses.measure for args.kind, once its options fit the kind."""
+    two = args.kind in analyses.TWO_SEQUENCE_KINDS
+    if (y is not None) != two:
+        raise UsageError(f"measure kind {args.kind!r} "
+                         f"{'needs' if two else 'does not take'} a second sequence")
+    if args.anchor not in (None, *analyses.ANCHORED_KINDS.get(args.kind, ())):
+        raise UsageError(f"measure kind {args.kind!r} does not take anchor {args.anchor!r}")
+    return analyses.measure(x, args.kind, y=y, anchor=args.anchor, config=session.config)
 
 
 def cmd_decide(args):
@@ -98,8 +119,7 @@ def cmd_measure(args):
     session = Session(args.seq, args.max_states, args.base)
     x = session.sequence(args.sequence)
     y = session.sequence(args.second) if args.second else None
-    rep = analyses.measure(x, args.kind, y=y, anchor=args.anchor,
-                           config=session.config)
+    rep = _measure(session, x, args, y)
     for n in _parse_range(args.range):
         print(n, rep.evaluate(n))
     if args.export:
@@ -168,7 +188,13 @@ def cmd_verify_conjecture(args):
 def cmd_oracle_compare(args):
     session = Session(args.seq, args.max_states, args.base)
     x = session.sequence(args.sequence)
-    rep = analyses.measure(x, args.kind, anchor=args.anchor, config=session.config)
+    # PrefixContext certifies n <= len // 100, which holds only when every
+    # factor recurs within bounded gaps.
+    if not analyses.uniformly_recurrent(x, session.config):
+        raise oracle.CertificationError(
+            f"sequence {args.sequence!r} is not uniformly recurrent, so no prefix "
+            "length certifies its values")
+    rep = _measure(session, x, args)
     if args.sequence == "tm":
         word = oracle.thue_morse_prefix(args.prefix_len)
     else:
@@ -282,17 +308,18 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (logic.ParseError, ValueError) as exc:
-        if isinstance(exc, oracle.CertificationError):
-            print(f"certification refused: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
+    except (UsageError, logic.ParseError, logic.CompileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except oracle.CertificationError as exc:
+        print(f"certification refused: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except automata.StateLimit as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -17,11 +17,16 @@ Concrete syntax (parse)::
     congruence     t ≡ a mod m     or equivalently     mod(t, m, a)
 
 A quantifier's body extends as far to the right as possible; parenthesize
-where that is not what you mean.  Subtraction is sugar: comparisons move
-the negative part across (`a - b >= c` becomes `a >= b + c`, the natural
-reading over the naturals), and an index expression with a negative part
-is rewritten with a fresh existential witness, so an atom whose index
-would be negative is simply false.
+where that is not what you mean.  Subtraction in a comparison is sugar:
+the negative part moves across (`a - b >= c` becomes `a >= b + c`, the
+natural reading over the naturals).  An index keeps its signed linear
+form, and an atom whose index would be negative is simply false.
+
+Every atom on sequence values (x[t] = c, x[t1] < y[t2], and Call) compiles
+to one deterministic automaton: each index form keeps a carry while the
+lsd-first digits of its variables are read, emits the digits of its value
+to the automaton that reads it, and needs no quantified witness (lsd-first
+addition is deterministic; Bruyere, Hansel, Michaux and Villemaire 1994).
 """
 
 import re
@@ -31,7 +36,7 @@ from . import automata
 # determinize is not called here; bench/test_bench.py checks that the tracer
 # restores this binding.
 from .automata import (Dfa, determinize, determinize_reverse, complement,  # noqa: F401
-                       product, inflate, minimize, is_empty, sym_tuples)
+                       product, inflate, minimize, is_empty, sym_index, sym_tuples)
 from .numeration import decode_lsd, project_track
 from .seqgen import Dfao
 
@@ -236,17 +241,11 @@ def _term_form(t):
 
 
 def _form_to_term(form):
-    """Clean Term for a linear form with nonnegative coefficients."""
+    """Term for a linear form; a negative coefficient c of v becomes
+    Mul(c, Var(v)) and a negative constant a negative Const."""
     coeffs, const = form
-    parts = []
-    for v in sorted(coeffs):
-        c = coeffs[v]
-        if c < 0:
-            raise ValueError("internal: negative coefficient in clean term")
-        parts.append(Var(v) if c == 1 else Mul(c, Var(v)))
-    if const < 0:
-        raise ValueError("internal: negative constant in clean term")
-    if const > 0 or not parts:
+    parts = [Var(v) if coeffs[v] == 1 else Mul(coeffs[v], Var(v)) for v in sorted(coeffs)]
+    if const != 0 or not parts:
         parts.append(Const(const))
     out = parts[0]
     for p in parts[1:]:
@@ -461,9 +460,7 @@ class _Parser:
         right_seq = self.try_seqindex()
         if right_seq is not None:
             name2, idx2 = right_seq
-            return self.wrap_indices(
-                [idx1, idx2],
-                lambda ts: SeqCmp(name1, ts[0], op, name2, ts[1], pos=pos))
+            return SeqCmp(name1, _form_to_term(idx1), op, name2, _form_to_term(idx2), pos=pos)
         return self.seq_atom_vs_term(name1, idx1, op, self.term(), pos)
 
     def seq_atom_vs_term(self, name, idx, op, form, pos):
@@ -474,26 +471,7 @@ class _Parser:
                 "value or a literal output symbol", pos)
         if op not in ("=", "!="):
             raise ParseError("only = and != compare a sequence value with a literal", pos)
-        return self.wrap_indices([idx], lambda ts: SeqIs(name, ts[0], op, const, pos=pos))
-
-    def wrap_indices(self, forms, build):
-        """Clean negative parts out of index forms via fresh witnesses."""
-        terms = []
-        wrappers = []
-        for form in forms:
-            if all(c >= 0 for c in form[0].values()) and form[1] >= 0:
-                terms.append(_form_to_term(form))
-            else:
-                w = self.fresh_var()
-                posf, negf = _split_form(form)
-                eq = Compare(_form_to_term(_form_add(({w: 1}, 0), negf)),
-                             "=", _form_to_term(posf))
-                terms.append(Var(w))
-                wrappers.append((w, eq))
-        out = build(terms)
-        for w, eq in reversed(wrappers):
-            out = Exists(w, And(eq, out))
-        return out
+        return SeqIs(name, _form_to_term(idx), op, const, pos=pos)
 
     def compare_atom(self, left, op, right, pos):
         # Move each side's negative part to the other side; variables that
@@ -590,6 +568,15 @@ class CompileConfig:
                 f"(ceiling {self.max_states})")
         return dfa
 
+    def build(self, construct, *args, **kwargs):
+        """construct(*args, **kwargs) stopped at the state ceiling, which
+        it reports as ResourceLimit."""
+        try:
+            return construct(*args, limit=self.max_states, **kwargs)
+        except automata.StateLimit:
+            raise ResourceLimit(
+                f"a construction exceeded the ceiling of {self.max_states} states") from None
+
 
 def _check_env(f, env):
     for name in sequence_names(f):
@@ -619,29 +606,58 @@ def _linear_atom(k, coeffs, const, mode, cfg):
             return [None if (gamma + dot) % k else (gamma + dot) // k for dot in dots]
         return [-((-gamma - dot) // k) for dot in dots]
 
-    carries, rows = automata._explore(const, successors)
+    carries, rows = cfg.build(automata._explore, const, successors)
     if mode == "eq":
         finals = {i for i, g in enumerate(carries) if g == 0}
     else:
         finals = {i for i, g in enumerate(carries) if g is not None and g <= 0}
-    dfa = cfg.note(minimize(Dfa(k, arity, rows, 0, finals)))
-    return dfa, names
+    return minimize(cfg.note(Dfa(k, arity, rows, 0, finals))), names
 
 
-def _seq_pair_dfa(x, y, op, same_track, cfg):
-    """Product of two DFAOs comparing final outputs; one or two tracks."""
-    k = x.base
-    if same_track:
-        symlist = [(d, d) for d in range(k)]
-    else:
-        symlist = [(d1, d2) for d1 in range(k) for d2 in range(k)]
-    pairs, rows = automata._explore(
-        (x.initial, y.initial),
-        lambda pair: [(x.transitions[pair[0]][d1], y.transitions[pair[1]][d2])
-                      for d1, d2 in symlist])
-    finals = {i for i, (qx, qy) in enumerate(pairs)
-              if _cmp_outputs(x.outputs[qx], y.outputs[qy], op)}
-    return cfg.note(minimize(Dfa(k, 1 if same_track else 2, rows, 0, finals)))
+def _carry_reader(k, names, forms, table, initial, cfg):
+    """(ends, rows) of one reader driven by the carries of its index forms.
+
+    The reader is a DFA table over k^len(forms) symbols, one track per
+    form.  A state is (carries, q), starting at (the forms' constants,
+    initial).  On symbol s of the tracks `names`, each form's carry g
+    becomes t = g + dot(coeffs, s): the digit t mod k goes to the reader and
+    the carry goes on as t // k.  ends[i] is the reader state reached from
+    state i by feeding the digits of the remaining carries, or None when a
+    carry is negative: zero padding keeps it negative, so that index never
+    reaches a natural value.
+    """
+    dots = [[sum(coeffs.get(v, 0) * d for v, d in zip(names, sym))
+             for sym in sym_tuples(k, len(names))] for coeffs, _ in forms]
+    cols = list(zip(*dots))  # cols[s][j]: form j's increment on symbol s
+    index = sym_index(k, len(forms))
+    steps = {}  # carries -> [(emitted symbol, next carries)] for every symbol
+
+    def successors(state):
+        gs, q = state
+        step = steps.get(gs)
+        if step is None:
+            step = steps[gs] = []
+            for col in cols:
+                ts = [g + d for g, d in zip(gs, col)]
+                step.append((index[tuple(t % k for t in ts)], tuple(t // k for t in ts)))
+        row = table[q]
+        return [(nxt, row[e]) for e, nxt in step]
+
+    states, rows = cfg.build(automata._explore,
+                             (tuple(const for _, const in forms), initial), successors)
+    return [_feed_carries(k, table, q, gs) for gs, q in states], rows
+
+
+def _feed_carries(k, table, q, gs):
+    """Reader state after the digits of the carries gs from q; None when
+    some carry is negative."""
+    if min(gs) < 0:
+        return None
+    index = sym_index(k, len(gs))
+    while any(gs):
+        q = table[q][index[tuple(g % k for g in gs)]]
+        gs = [g // k for g in gs]
+    return q
 
 
 def _cmp_outputs(a, b, op):
@@ -673,11 +689,6 @@ class _Compiler:
                 self.base = s.base
             elif s.base != self.base:
                 raise CompileError("bound sequences disagree on the base")
-        self.fresh = 0
-
-    def fresh_var(self):
-        self.fresh += 1
-        return f"_c{self.fresh}"
 
     def need_base(self):
         if self.base is None:
@@ -696,11 +707,8 @@ class _Compiler:
         want = tuple(sorted(set(avars) | set(bvars)))
         a = self.align(a, avars, want)
         b = self.align(b, bvars, want)
-        prod = self.cfg.note(product(a, b, op, limit=self.cfg.max_states))
+        prod = self.cfg.note(self.cfg.build(product, a, b, op))
         return self.cfg.note(minimize(prod)), want
-
-    def exists(self, v, value):
-        return self.exists_many([v], value)
 
     def exists_many(self, names, value):
         if isinstance(value, bool):
@@ -718,9 +726,8 @@ class _Compiler:
         # first reversal also closes its start along symbol 0, so w is kept
         # when some w·0^j is accepted.  The body is pad-closed, so this equals
         # pad_closure of the projection's DFA.
-        limit = self.cfg.max_states
-        mirror = minimize(self.cfg.note(determinize_reverse(dfa, drop, pad=True, limit=limit)))
-        out = self.cfg.note(determinize_reverse(mirror, limit=limit))
+        mirror = minimize(self.cfg.note(self.cfg.build(determinize_reverse, dfa, drop, pad=True)))
+        out = self.cfg.note(self.cfg.build(determinize_reverse, mirror))
         return out, tuple(w for i, w in enumerate(vars_) if i not in drop)
 
     def negate(self, value):
@@ -823,57 +830,55 @@ class _Compiler:
             raise CompileError("bound sequences disagree on the base")
         return s
 
-    def term_as_var(self, term):
-        """(var name, extra equation atoms, fresh vars) for an index term."""
-        form = _term_form(term)
-        coeffs, const = form
-        if const == 0 and len(coeffs) == 1 and next(iter(coeffs.values())) == 1:
-            return next(iter(coeffs)), [], []
-        w = self.fresh_var()
-        diff = _form_add(({w: 1}, 0), _form_scale(form, -1))
-        eq = (dict(diff[0]), diff[1])
-        return w, [eq], [w]
+    def index_atom(self, readers, accept):
+        """Atom on the values read at signed linear index terms.
 
-    def atom_with_core(self, core, corevars, equations, freshvars):
-        value = (core, tuple(corevars)) if not isinstance(core, bool) else core
-        for coeffs, const in equations:
-            dfa, names = _linear_atom(self.need_base(), coeffs, const, "eq", self.cfg)
-            if isinstance(value, bool):
-                value = (dfa, names) if value else False
-                if value is False:
-                    return False
-            else:
-                value = self.combine(*value, dfa, names, "and")
-        for w in freshvars:
-            value = self.exists(w, value)
-        return value
+        Each reader is (terms, table, initial): a DFA table over
+        base^len(terms) symbols that reads the digits of its terms' values,
+        one track per term.  The atom holds where every value is a natural
+        and accept(*ends) is true, ends being the state each reader reaches.
+        One carry automaton per reader (_carry_reader); two readers are
+        paired by zipping their rows, as product does.
+        """
+        k = self.base
+        readers = [([_term_form(t) for t in terms], table, initial)
+                   for terms, table, initial in readers]
+        forms = [form for fs, _, _ in readers for form in fs]
+        if any(not coeffs and const < 0 for coeffs, const in forms):
+            return False  # a negative constant index
+        names = tuple(sorted({v for coeffs, _ in forms for v in coeffs}))
+        if not names:
+            return accept(*[_feed_carries(k, table, initial, [const for _, const in fs])
+                            for fs, table, initial in readers])
+        built = [_carry_reader(k, names, fs, table, initial, self.cfg)
+                 for fs, table, initial in readers]
+        if len(built) == 1:
+            (ends, rows), = built
+            labels = [(end,) for end in ends]
+        else:
+            (ends_a, rows_a), (ends_b, rows_b) = built
+            pairs, rows = self.cfg.build(
+                automata._explore, (0, 0), lambda p: zip(rows_a[p[0]], rows_b[p[1]]))
+            labels = [(ends_a[a], ends_b[b]) for a, b in pairs]
+        finals = {i for i, ends in enumerate(labels) if None not in ends and accept(*ends)}
+        return minimize(self.cfg.note(Dfa(k, len(names), rows, 0, finals))), names
 
     def atom_seqcmp(self, f):
         x = self.resolve_seq(f.xname)
         y = self.resolve_seq(f.yname)
-        v1, eqs1, fresh1 = self.term_as_var(f.t1)
-        v2, eqs2, fresh2 = self.term_as_var(f.t2)
-        if v1 == v2:
-            if x is y:
-                # Identical value on both sides.
-                return f.op in ("=", "<=", ">=")
-            core = _seq_pair_dfa(x, y, f.op, True, self.cfg)
-            corevars = (v1,)
-        else:
-            core = _seq_pair_dfa(x, y, f.op, False, self.cfg)
-            if v1 > v2:
-                core = automata.permute_tracks(core, [1, 0])
-            corevars = tuple(sorted((v1, v2)))
-        return self.atom_with_core(core, corevars, eqs1 + eqs2, fresh1 + fresh2)
+        form = _term_form(f.t1)
+        if x is y and form == _term_form(f.t2) and min([*form[0].values(), form[1]]) >= 0:
+            # One natural index on both sides: identical values.
+            return f.op in ("=", "<=", ">=")
+        return self.index_atom(
+            [((f.t1,), x.transitions, x.initial), ((f.t2,), y.transitions, y.initial)],
+            lambda qx, qy: _cmp_outputs(x.outputs[qx], y.outputs[qy], f.op))
 
     def atom_seqis(self, f):
         x = self.resolve_seq(f.xname)
-        v, eqs, fresh = self.term_as_var(f.t)
-        want = f.symbol
-        matching = {q for q in range(x.n_states)
-                    if (x.outputs[q] == want) == (f.op == "=")}
-        core = self.cfg.note(minimize(Dfa(x.base, 1, x.transitions, x.initial, matching)))
-        return self.atom_with_core(core, (v,), eqs, fresh)
+        want = f.op == "="
+        return self.index_atom([((f.t,), x.transitions, x.initial)],
+                               lambda q: (x.outputs[q] == f.symbol) == want)
 
     def atom_call(self, f):
         dfa = f.dfa
@@ -884,20 +889,8 @@ class _Compiler:
             self.base = dfa.base
         elif dfa.base != self.base:
             raise CompileError("relation automaton base mismatch")
-        argvars = []
-        equations = []
-        freshvars = []
-        for t in f.args:
-            v, eqs, fresh = self.term_as_var(t)
-            argvars.append(v)
-            equations.extend(eqs)
-            freshvars.extend(fresh)
-        want = tuple(sorted(set(argvars)))
-        mapping = automata._track_map(dfa.base, len(want), [want.index(v) for v in argvars])
-        rows = [[row[m] for m in mapping] for row in dfa.transitions]
-        core = self.cfg.note(minimize(
-            Dfa(dfa.base, len(want), rows, dfa.initial, dfa.finals)))
-        return self.atom_with_core(core, want, equations, freshvars)
+        return self.index_atom([(f.args, dfa.transitions, dfa.initial)],
+                               dfa.finals.__contains__)
 
 
 def compile(f, env, config=None):

@@ -1,7 +1,7 @@
 import os
 
 from autoseq.cli import main
-from autoseq import regseq, seqgen
+from autoseq import analyses, automata, regseq, seqgen
 
 
 def run(capsys, *argv):
@@ -92,7 +92,6 @@ def test_export_automaton(tmp_path, capsys):
     code, out, _ = run(capsys, "export-automaton", "E q n = 2*q",
                        "--out", str(path))
     assert code == 0
-    from autoseq import automata
     dfa = automata.load(path.read_text())
     for n in range(20):
         assert dfa.accepts_values((n,)) == (n % 2 == 0)
@@ -124,3 +123,42 @@ def test_unknown_sequence(capsys):
     code, _, err = run(capsys, "eval-seq", "nope", "0..1")
     assert code == 2
     assert "unknown sequence" in err
+
+
+def test_oracle_compare_refuses_a_sequence_that_is_not_uniformly_recurrent(tmp_path, capsys):
+    # a prefix of length L certifies n <= L // 100 only for uniformly
+    # recurrent sequences; on this one an 8,000-letter prefix miscounts the
+    # unbordered factors of length 42
+    path = tmp_path / "draw.dfao"
+    path.write_text(seqgen.store(seqgen.Dfao(2, [[0, 3], [1, 1], [3, 0], [3, 2]], 0,
+                                             [0, 1, 1, 1])))
+    code, out, err = run(capsys, "--seq", f"d={path}", "oracle-compare",
+                         "unbordered-count", "d", "42", "--prefix-len", "8000")
+    assert code == 3
+    assert "certification refused" in err and "uniformly recurrent" in err
+    assert "PASS" not in out
+
+
+def test_user_errors_exit_2(tmp_path, capsys):
+    unstable = tmp_path / "unstable.dfao"
+    unstable.write_text("dfao base=2 states=2 initial=0 order=lsd\n"
+                        "state 0 output 0\nstate 1 output 1\n0 0 1\n0 1 1\n1 0 1\n1 1 1\n")
+    for argv in (["eval-seq", "tm", "1..x"],
+                 ["measure", "factors-in-both", "tm", "1..4"],
+                 ["measure", "subword-complexity", "tm", "1..4", "--anchor", "end"],
+                 ["--seq", f"c={tmp_path / 'missing.dfao'}", "eval-seq", "c", "0..3"],
+                 ["--seq", f"c={unstable}", "eval-seq", "c", "0..3"],
+                 ["characteristic", "i < n"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:"), argv
+
+
+def test_internal_fault_exits_4(monkeypatch, capsys):
+    # a ValueError from inside the engine is not the user's mistake
+    not_pad_closed = automata.Dfa(2, 2, [[1, 1, 1, 1], [1, 1, 1, 1]], 0, {0})
+    monkeypatch.setattr(analyses, "measure",
+                        lambda *args, **kwargs: regseq.count_parameter(not_pad_closed))
+    code, _, err = run(capsys, "measure", "subword-complexity", "tm", "1..4")
+    assert code == 4
+    assert "internal error" in err and "not pad-closed" in err

@@ -1,14 +1,15 @@
 import itertools
+import random
 
 import pytest
 
-from autoseq import logic
+from autoseq import automata, logic
 from autoseq.automata import (Dfa, complement, determinize, equivalent, inflate,
                               minimize, pad_closure, product, project_many)
-from autoseq.logic import (And, Call, CompileConfig, CompileError, Exists,
-                           Forall, Not, ParseError, ResourceLimit, Var,
-                           characteristic, compile, decide, free_variables,
-                           parse)
+from autoseq.logic import (Add, And, Call, CompileConfig, CompileError, Const,
+                           Exists, Forall, Mul, Not, ParseError, ResourceLimit,
+                           SeqCmp, SeqIs, Var, characteristic, compile, decide,
+                           free_variables, parse)
 from autoseq.oracle import PrefixContext, brute
 from autoseq.seqgen import Dfao, prefix, thue_morse
 
@@ -16,6 +17,8 @@ TM = thue_morse()
 ENV = {"x": TM}
 TMVALS = prefix(TM, 5000)
 S3 = Dfao(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0, [0, 1, 2])  # ternary digit sum mod 3
+PD = Dfao(2, [[2, 1], [3, 0], [2, 2], [3, 3]], 0, [0, 1, 0, 1])  # period doubling
+HAS1 = Dfao(3, [[0, 1, 0], [1, 1, 1]], 0, [0, 1])  # some ternary digit is 1
 UNBORDERED = "A l ((1 <= l & 2*l <= n) => (E i (i < l) & (x[j+i] != x[j+n-l+i])))"
 
 
@@ -117,6 +120,17 @@ def test_seq_index_subtraction():
         assert dfa.accepts_values((i,)) == (i >= 1 and TMVALS[i - 1] == 1)
 
 
+def test_signed_index_parses_to_a_bare_atom():
+    # no witness quantifier: the atom keeps the signed index term
+    f = parse("x[i - 1] = 1")
+    assert f == SeqIs("x", Add(Var("i"), Const(-1)), "=", 1)
+    assert free_variables(f) == {"i"}
+    assert not compile(f, ENV).accepts_values((0,))
+    f = parse("x[n - i] != x[i + 2]")
+    assert f == SeqCmp("x", Add(Mul(-1, Var("i")), Var("n")), "!=",
+                       "x", Add(Var("i"), Const(2)))
+
+
 def test_bounded_quantifier_sugar():
     assert decide(parse("A n (A t < n: t < n)"), ENV).value
     d = decide(parse("E n (E t < n: t + 1 = n)"), ENV)
@@ -185,6 +199,17 @@ def test_resource_limit():
     with pytest.raises(ResourceLimit):
         compile(parse("E j A l ((1 <= l & 2*l <= n) => "
                       "(E i (i < l) & (x[j+i] != x[j+n-l+i])))"), ENV, cfg)
+
+
+def test_index_atom_stops_at_the_ceiling():
+    # one atom and nothing else: its carry product pairs 14 states, which
+    # minimize to 7
+    f = parse("x[i+5] = x[i+6]")
+    with pytest.raises(ResourceLimit):
+        compile(f, ENV, CompileConfig(max_states=13))
+    cfg = CompileConfig(max_states=14)
+    assert compile(f, ENV, cfg).n_states == 7
+    assert cfg.peak_states == 14
 
 
 def test_negation_compositionality():
@@ -296,3 +321,76 @@ def test_base3_unbordered_lengths_under_a_small_ceiling():
     ctx = PrefixContext(prefix(S3, 4000))
     for n in range(40):
         assert dfa.accepts_values((n,)) == (brute("unbordered-count", ctx, n) > 0), n
+
+
+def _witness_route(comp, f):
+    """Reference for an index atom by quantifier elimination: a fresh
+    variable per index, a _linear_atom equation tying it to its term, then
+    combine and exists."""
+    k = comp.base
+    if isinstance(f, SeqCmp):
+        x, y = comp.env[f.xname], comp.env[f.yname]
+        terms = (f.t1, f.t2)
+        pairs, rows = automata._explore(
+            (x.initial, y.initial),
+            lambda p: [(x.transitions[p[0]][a], y.transitions[p[1]][b])
+                       for a in range(k) for b in range(k)])
+        core = Dfa(k, 2, rows, 0, {i for i, (qx, qy) in enumerate(pairs)
+                                   if logic._cmp_outputs(x.outputs[qx], y.outputs[qy], f.op)})
+    elif isinstance(f, SeqIs):
+        x = comp.env[f.xname]
+        terms = (f.t,)
+        core = Dfa(k, 1, x.transitions, x.initial,
+                   {q for q in range(x.n_states) if (x.outputs[q] == f.symbol) == (f.op == "=")})
+    else:
+        terms = f.args
+        core = f.dfa
+    fresh = [f"_w{i}" for i in range(len(terms))]
+    value = (minimize(core), tuple(fresh))
+    for w, t in zip(fresh, terms):
+        coeffs, const = logic._term_form(t)
+        eq = logic._linear_atom(k, {w: 1, **{v: -c for v, c in coeffs.items()}}, -const,
+                                "eq", comp.cfg)
+        value = comp.combine(*value, *eq, "and")
+    return comp.exists_many(fresh, value)
+
+
+def _over(value, want, k):
+    """A compiled value as a minimized DFA over the tracks want."""
+    if isinstance(value, bool):
+        return Dfa(k, len(want), [[0] * k ** len(want)], 0, {0} if value else ())
+    dfa, vars_ = value
+    missing = [i for i, v in enumerate(want) if v not in vars_]
+    return minimize(inflate(dfa, *missing) if missing else dfa)
+
+
+def _random_term(rng):
+    names = rng.sample(("i", "j", "n"), rng.choice((0, 1, 1, 2, 2)))
+    coeffs = {v: rng.choice((-2, -1, 1, 1, 2, 3)) for v in names}
+    return logic._form_to_term((coeffs, rng.randint(-3, 4)))
+
+
+@pytest.mark.parametrize("k,x,y", [(2, TM, PD), (3, S3, HAS1)], ids=["base2", "base3"])
+def test_index_atoms_match_the_fresh_witness_route(k, x, y):
+    rng = random.Random(11 * k)
+    env = {"x": x, "y": y}
+    relations = [compile(parse("i < n"), env), compile(parse("a + b = c"), env)]
+    atoms = [parse("x[i - 1] = x[i - 1]"), parse("x[n - i] < y[i + 2]"),
+             parse("x[4] = y[2*j - 3]"), parse("y[7] != 1"), parse("x[i - 9] = 0"),
+             Call(relations[0], (Var("i"), Var("i")))]
+    for _ in range(25):
+        op = rng.choice(("=", "!=", "<", "<=", ">", ">="))
+        atoms.append(SeqCmp(rng.choice("xy"), _random_term(rng), op,
+                            rng.choice("xy"), _random_term(rng)))
+        atoms.append(SeqIs(rng.choice("xy"), _random_term(rng), rng.choice(("=", "!=")),
+                           rng.choice((0, 1))))
+        rel = rng.choice(relations)
+        atoms.append(Call(rel, tuple(_random_term(rng) for _ in range(rel.arity))))
+    for f in atoms:
+        want = tuple(sorted(free_variables(f)))
+        got = logic._Compiler(env, CompileConfig()).compile(f)
+        ref = _witness_route(logic._Compiler(env, CompileConfig()), f)
+        if want:
+            assert _over(got, want, k) == _over(ref, want, k), f
+        else:
+            assert got is ref, f
