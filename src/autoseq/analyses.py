@@ -206,8 +206,8 @@ def measure(x, kind, y=None, anchor=None, config=None):
     text, param, witness = _measure_formula(kind, anchor if kind in ANCHORED_KINDS else None)
     pair = _pair_counting_dfa(text, env, param, witness, cfg)
     if kind in _LEVEL_KINDS:
-        return regseq.count_measure(pair)
-    return regseq.count_parameter(pair)
+        return regseq.count_measure(pair, cfg)
+    return regseq.count_parameter(pair, cfg)
 
 
 def permutation_order(x, config=None):
@@ -239,7 +239,7 @@ def _permutation_complexity(x, cfg):
             Call(offset_less, (Var("j"), Var("l_"), Var("m_")))))))
     first = Forall("j", Implies(Compare(Var("j"), "<", Var("i")), Not(pm)))
     pair = _pair_counting_dfa(first, {"x": x}, "n", "i", cfg)
-    return regseq.count_parameter(pair)
+    return regseq.count_parameter(pair, cfg)
 
 
 def has_unbounded_exponent(x, config=None):

@@ -725,7 +725,8 @@ class _Compiler:
         # symbols in lex order); the forward construction blows up here.  The
         # first reversal also closes its start along symbol 0, so w is kept
         # when some w·0^j is accepted.  The body is pad-closed, so this equals
-        # pad_closure of the projection's DFA.
+        # pad_closure of the projection's DFA.  The second reversal drops no
+        # track, so its subsets' rows are XOR deltas of recent ones.
         mirror = minimize(self.cfg.note(self.cfg.build(determinize_reverse, dfa, drop, pad=True)))
         out = self.cfg.note(self.cfg.build(determinize_reverse, mirror))
         return out, tuple(w for i, w in enumerate(vars_) if i not in drop)
@@ -939,10 +940,13 @@ class Decision:
         return f"<Decision {self.value}{extra}>"
 
 
-def _leading_block(f, kind):
-    """Variables of the leading block of `kind` quantifiers, and its body."""
+def _leading_block(f, kind, internal=True):
+    """Variables of the leading block of `kind` quantifiers, and its body.
+
+    With internal false the block stops at the parser's own witnesses
+    (fresh_var's `_s` names, which no user can type)."""
     names = []
-    while isinstance(f, kind):
+    while isinstance(f, kind) and (internal or not f.var.startswith("_")):
         names.append(f.var)
         f = f.body
     return names, f
@@ -966,13 +970,14 @@ def decide(f, env, config=None):
     if free:
         raise CompileError(f"decide() needs a sentence; free variables: {sorted(free)}")
     comp = _Compiler(env, cfg)
-    kind = type(f)
-    if kind not in (Exists, Forall):
+    kind = Forall if isinstance(f, Forall) else Exists
+    # the assignment ranges over the user's variables only
+    leading, body = _leading_block(f, kind, internal=False)
+    if not leading:
         value = comp.compile(f)
         if not isinstance(value, bool):
             raise AssertionError("sentence compiled to an automaton")
         return Decision(value)
-    leading, body = _leading_block(f, kind)
     inner = comp.compile(body)
     if kind is Forall:
         inner = comp.negate(inner)

@@ -441,7 +441,7 @@ def _xi(x):
     return 0 if isinstance(x, _Infinity) else x
 
 
-def decompose_infinity(l, limit=1_000_000):
+def decompose_infinity(l, limit=1_000_000, note=None):
     """Split an extended-natural series into (infinity locus, finite part).
 
     Since 0 * inf = 0, a word's value is infinite exactly when some path of
@@ -449,7 +449,8 @@ def decompose_infinity(l, limit=1_000_000):
     language of a two-layer NFA on the support of the representation:
     state q means every weight so far was finite, state q + r that an
     infinite weight has been used.  It is trimmed, determinized (raising
-    StateLimit past `limit` subsets) and minimized.  The finite part
+    StateLimit past `limit` subsets; note, if given, sees the subset
+    construction) and minimized.  The finite part
     replaces every infinity entry by zero, which cannot change any finite
     value because such entries only ever meet zero there.
     """
@@ -465,7 +466,8 @@ def decompose_infinity(l, limit=1_000_000):
             for t, w in row:
                 nfa.add_edge(q, d, t + r if w is INF else t)
                 nfa.add_edge(q + r, d, t + r)
-    locus = minimize(automata.determinize(trim_nfa(nfa), limit))
+    det = automata.determinize(trim_nfa(nfa), limit)
+    locus = minimize(note(det) if note else det)
     if l.semiring == "nat":
         return InfDecomposition(locus, l)
     finite = LinRep._from_rows(
@@ -554,11 +556,13 @@ def _unique_representative_nfa(p):
     return nfa
 
 
-def _count_series(nfa, k):
+def _count_series(nfa, k, cfg):
     """Path-counting series of a trimmed epsilon NFA with its infinity-locus
-    decomposition attached; over the naturals when every value is finite."""
+    decomposition attached; over the naturals when every value is finite.
+    The locus construction runs under cfg's state ceiling and counts in
+    its peak."""
     rep = linrep_from_nfa(eps_saturate(nfa)) if nfa.n_states else zero_rep(k)
-    dec = decompose_infinity(rep)
+    dec = cfg.build(decompose_infinity, rep, note=cfg.note)
     empty, _ = automata.is_empty(dec.infinite_part)
     if empty:
         rep = dec.finite_part
@@ -566,13 +570,14 @@ def _count_series(nfa, k):
     return rep
 
 
-def count_parameter(p):
+def count_parameter(p, config=None):
     """Series n -> |{ i : (n, i) accepted by p }| for a pad-closed pair DFA.
 
     Track 0 is the parameter, track 1 the counted witness.  The result is
     over the naturals when every count is finite, else over the extended
     naturals; either way the infinity-locus decomposition is attached as
-    .inf_part.
+    .inf_part.  config (a logic.CompileConfig) bounds the locus
+    construction and records its size.
     """
     if p.arity != 2:
         raise ValueError(f"count_parameter needs an arity-2 automaton, got {p.arity}")
@@ -580,27 +585,30 @@ def count_parameter(p):
     same, witness = equivalent(pmin, pad_closure(pmin))
     if not same:
         raise ValueError(f"automaton is not pad-closed (differs at {witness})")
-    return _count_series(trim_nfa(_unique_representative_nfa(pmin)), p.base)
+    return _count_series(trim_nfa(_unique_representative_nfa(pmin)), p.base,
+                         config or logic.CompileConfig())
 
 
-def count_measure(p):
+def count_measure(p, config=None):
     """Measure value from its strict level predicate: p(n, t) holds iff the
     measure at n exceeds t, so counting witnesses t >= 0 yields the value.
 
     p must be downward closed in t; this is decided exactly, and a
-    violation raises with the least counterexample.
+    violation raises with the least counterexample.  The decision and the
+    count both run under config (a logic.CompileConfig).
     """
     if p.arity != 2:
         raise ValueError(f"count_measure needs an arity-2 automaton, got {p.arity}")
+    cfg = config or logic.CompileConfig()
     n, t = logic.Var("n"), logic.Var("t")
     closed = logic.decide(logic.Forall("n", logic.Forall("t", logic.Implies(
-        logic.Call(p, (n, logic.Add(t, logic.Const(1)))), logic.Call(p, (n, t))))), {})
+        logic.Call(p, (n, logic.Add(t, logic.Const(1)))), logic.Call(p, (n, t))))), {}, cfg)
     if not closed:
         bad = closed.counterexample
         raise ValueError(
             f"level predicate is not downward closed in t at n={bad['n']}, t={bad['t']} "
             "(it holds at t + 1 but not at t)")
-    return count_parameter(p)
+    return count_parameter(p, cfg)
 
 
 def representation_count(digit_set, k):
@@ -643,7 +651,7 @@ def representation_count(digit_set, k):
                 nfa.add_eps(src, dst)
             else:
                 nfa.add_edge(src, d, dst)
-    return _count_series(trim_nfa(nfa), k)
+    return _count_series(trim_nfa(nfa), k, logic.CompileConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,58 @@ def test_determinize_reverse_matches_reversed_projection():
     assert sum(size > 40 for size in sizes) >= 20, sizes  # not only trivial cases
 
 
+def funnel_dfa(rng, n, k, arity, heavy):
+    """Complete DFA whose symbols each map onto a few states, so its
+    reversal stays small.  With heavy, a final state z absorbs itself and
+    about 60% of the states on every symbol: every reversed subset then
+    holds z's large fibre, and most hold more than n/2 states."""
+    nsym = k ** arity
+    images = [rng.sample(range(n), rng.randrange(3, 7)) for _ in range(nsym)]
+    z = rng.randrange(n)
+    rows = [[z if heavy and (q == z or rng.random() < 0.6) else rng.choice(images[s])
+             for s in range(nsym)] for q in range(n)]
+    finals = {q for q in range(n) if rng.random() < rng.choice((0.3, 0.6, 0.9))}
+    return Dfa(k, arity, rows, rng.randrange(n), finals | {z} if heavy else finals)
+
+
+def nearest_references(a, recent=16):
+    """How often the nearest of (empty set, full set, the last `recent`
+    subsets) is each of those, over the reversal's subsets in FIFO order."""
+    rev = reverse(a)
+    order = [frozenset(rev.initials)]
+    seen = set(order)
+    for subset in order:
+        for s in range(a.base ** a.arity):
+            succ = frozenset(p for q in subset for p in rev.steps[q].get(s, {}))
+            if succ not in seen:
+                seen.add(succ)
+                order.append(succ)
+    picks = [0, 0, 0]
+    for i, subset in enumerate(order):
+        refs = [frozenset(), frozenset(range(a.n_states))] + order[max(0, i - recent):i]
+        costs = [len(subset ^ ref) for ref in refs]
+        picks[min(costs.index(min(costs)), 2)] += 1
+    return picks
+
+
+def test_determinize_reverse_without_projection_matches_reversal():
+    rng = random.Random(15)
+    picks = [0, 0, 0]
+    for trial in range(24):
+        k, arity = rng.choice(((2, 1), (2, 2), (3, 1), (3, 2)))
+        a = funnel_dfa(rng, rng.randrange(40, 121), k, arity, heavy=trial % 3 == 0)
+        want = determinize(reverse(a))
+        picks = [x + y for x, y in zip(picks, nearest_references(a))]
+        assert automata.determinize_reverse(a) == want, trial
+        assert automata.determinize_reverse(a, pad=True) == reverse_projection_reference(
+            a, (), True)
+        if want.n_states > 1:
+            with pytest.raises(StateLimit):
+                automata.determinize_reverse(a, limit=want.n_states - 1)
+    # the draws reach every kind of reference: empty, full and recent
+    assert min(picks) >= 50, picks
+
+
 def test_dfa_rejects_out_of_range_targets():
     with pytest.raises(ValueError, match="transition target 5 out of range"):
         Dfa(2, 1, [[0, 1], [5, -1]], 0, set())

@@ -24,6 +24,14 @@ def test_decide_false(capsys):
     assert "FALSE" in out
 
 
+def test_decide_witness_names_only_user_variables(capsys):
+    # a congruence hides its own quantified witness; it must not leak
+    code, out, _ = run(capsys, "decide", "E n n ≡ 1 mod 6")
+    assert code == 0 and out.splitlines()[:2] == ["TRUE", "witness: n=1"]
+    code, out, _ = run(capsys, "decide", "7 ≡ 1 mod 6")
+    assert code == 0 and "witness" not in out
+
+
 def test_decide_tautology(capsys):
     code, out, _ = run(capsys, "decide", "A n n = n")
     assert code == 0 and "TRUE" in out

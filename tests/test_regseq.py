@@ -7,7 +7,7 @@ import pytest
 from autoseq import regseq
 from autoseq.analyses import measure
 from autoseq.automata import Dfa, Nfa, StateLimit, is_empty, minimize, permute_tracks
-from autoseq.logic import parse, compile as compile_formula
+from autoseq.logic import CompileConfig, ResourceLimit, parse, compile as compile_formula
 from autoseq.numeration import DigitWord
 from autoseq.regseq import (INF, InfDecomposition, LinRep, count_measure,
                             count_parameter, decompose_infinity, eps_saturate,
@@ -483,6 +483,26 @@ def test_count_measure_rejects_non_downward_closed():
     eq = compile_formula(parse("t = n"), ENV)
     with pytest.raises(ValueError, match="downward closed in t at n=1, t=0"):
         count_measure(eq)
+
+
+def test_counting_runs_under_the_callers_ceiling():
+    built = CompileConfig()
+    level = compile_formula(parse("3*t < 2*n"), ENV, built)  # tracks (n, t)
+    decided = CompileConfig()
+    rep = count_measure(level, decided)
+    assert [rep.evaluate(n) for n in range(12)] == [(2 * n + 2) // 3 for n in range(12)]
+    # the downward-closure decision's products outgrow the pair's own compile
+    assert decided.peak_states > built.peak_states
+    with pytest.raises(ResourceLimit):
+        count_measure(level, CompileConfig(max_states=decided.peak_states - 1))
+    # the infinity locus: two subsets, counted in the peak and bounded
+    allp = compile_formula(parse("(n = n) & (i = i)"), ENV)
+    pair = minimize(permute_tracks(allp, [1, 0]))
+    cfg = CompileConfig()
+    count_parameter(pair, cfg)
+    assert cfg.peak_states == 2
+    with pytest.raises(ResourceLimit):
+        count_parameter(pair, CompileConfig(max_states=1))
 
 
 def test_representation_count_binary():
