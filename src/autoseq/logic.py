@@ -33,10 +33,8 @@ import re
 from dataclasses import dataclass, field
 
 from . import automata
-# determinize is not called here; bench/test_bench.py checks that the tracer
-# restores this binding.
-from .automata import (Dfa, determinize, determinize_reverse, complement,  # noqa: F401
-                       product, inflate, minimize, is_empty, sym_index, sym_tuples)
+from .automata import (Dfa, determinize, determinize_reverse, complement, product,
+                       project_many, inflate, minimize, is_empty, sym_index, sym_tuples)
 from .numeration import decode_lsd, project_track
 from .seqgen import Dfao
 
@@ -679,6 +677,11 @@ def _cmp_outputs(a, b, op):
     raise CompileError(f"unknown comparison operator {op!r}")
 
 
+class _Mirror(tuple):
+    """(dfa, vars) whose dfa is minimal and accepts the reversal of the
+    value's language."""
+
+
 class _Compiler:
     def __init__(self, env, cfg):
         self.env = env
@@ -710,14 +713,14 @@ class _Compiler:
         prod = self.cfg.note(self.cfg.build(product, a, b, op))
         return self.cfg.note(minimize(prod)), want
 
-    def exists_many(self, names, value):
+    def exists_many(self, names, value, mirror=False):
+        """E names: value.  value may be a _Mirror, and with mirror the
+        result may be one too, for an enclosing quantifier block."""
         if isinstance(value, bool):
             return value
         dfa, vars_ = value
         drop = {vars_.index(v) for v in set(names) if v in vars_}
-        if not drop:
-            return value
-        if len(drop) == len(vars_):
+        if len(drop) == len(vars_):  # a language is empty iff its reversal is
             empty, _ = is_empty(dfa)
             return not empty
         # Brzozowski: determinizing the reversal of a reachable DFA gives the
@@ -725,21 +728,41 @@ class _Compiler:
         # symbols in lex order); the forward construction blows up here.  The
         # first reversal also closes its start along symbol 0, so w is kept
         # when some w·0^j is accepted.  The body is pad-closed, so this equals
-        # pad_closure of the projection's DFA.  The second reversal drops no
-        # track, so its subsets' rows are XOR deltas of recent ones.
-        mirror = minimize(self.cfg.note(self.cfg.build(determinize_reverse, dfa, drop, pad=True)))
-        out = self.cfg.note(self.cfg.build(determinize_reverse, mirror))
-        return out, tuple(w for i, w in enumerate(vars_) if i not in drop)
+        # pad_closure of the projection's DFA.  Minimized, it is the block's
+        # mirror.  A block handed its body's mirror skips that body's second
+        # reversal and its own first one: reversal commutes with projection
+        # and complement, so it determinizes the mirror's projection forward,
+        # with its start closed along symbol 0, since in the mirror trailing
+        # zeros lead (0^j·w).  minimize makes both routes' mirrors the same.
+        if drop:
+            if isinstance(value, _Mirror):
+                nfa = project_many(dfa, drop)
+                nfa.initials = dict.fromkeys(automata._reachable(
+                    nfa.initials, lambda q: nfa.steps[q].get(0, ())), 1)
+                body = self.cfg.build(determinize, nfa)
+            else:
+                body = self.cfg.build(determinize_reverse, dfa, drop, pad=True)
+            dfa = minimize(self.cfg.note(body))
+            vars_ = tuple(w for i, w in enumerate(vars_) if i not in drop)
+            value = _Mirror((dfa, vars_))
+        if mirror or not isinstance(value, _Mirror):
+            return value
+        # The second reversal drops no track, so its subsets' rows are XOR
+        # deltas of recent ones.
+        return self.cfg.note(self.cfg.build(determinize_reverse, dfa)), vars_
 
     def negate(self, value):
         if isinstance(value, bool):
             return not value
         dfa, vars_ = value
-        return complement(dfa), vars_
+        out = complement(dfa), vars_
+        return _Mirror(out) if isinstance(value, _Mirror) else out
 
     # -- compilation over formula nodes ------------------------------------
 
-    def compile(self, f):
+    def compile(self, f, mirror=False):
+        """Value of f: a bool, or (dfa, vars) with tracks vars.  With mirror
+        a quantifier block, under any number of ~, may return a _Mirror."""
         if isinstance(f, Compare):
             return self.atom_compare(f)
         if isinstance(f, SeqCmp):
@@ -749,7 +772,7 @@ class _Compiler:
         if isinstance(f, Call):
             return self.atom_call(f)
         if isinstance(f, Not):
-            return self.negate(self.compile(f.body))
+            return self.negate(self.compile(f.body, mirror))
         if isinstance(f, And):
             a = self.compile(f.left)
             if a is False:
@@ -792,10 +815,11 @@ class _Compiler:
             return complement(dfa), vars_
         if isinstance(f, Exists):
             names, body = _leading_block(f, Exists)
-            return self.exists_many(names, self.compile(body))
+            return self.exists_many(names, self.compile(body, True), mirror)
         if isinstance(f, Forall):
             names, body = _leading_block(f, Forall)
-            return self.negate(self.exists_many(names, self.negate(self.compile(body))))
+            return self.negate(self.exists_many(names, self.negate(self.compile(body, True)),
+                                                mirror))
         raise TypeError(f"not a formula node: {f!r}")
 
     def atom_compare(self, f):

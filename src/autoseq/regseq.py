@@ -611,13 +611,14 @@ def count_measure(p, config=None):
     return count_parameter(p, cfg)
 
 
-def representation_count(digit_set, k):
+def representation_count(digit_set, k, config=None):
     """Series counting lsd base-k digit strings over the given digit set
     (no trailing zeros) whose weighted digit sum is n.
 
     A carry automaton guesses the string digit by digit against the input;
     positions beyond the input are epsilon moves, which the saturation
-    step turns into exact counts or infinity.
+    step turns into exact counts or infinity.  The carry automaton and the
+    infinity locus run under config (a logic.CompileConfig).
     """
     if k < 2:
         raise ValueError(f"base must be >= 2, got {k}")
@@ -642,7 +643,8 @@ def representation_count(digit_set, k):
                     for e in digit_set if (c + e) % k == 0]
         return out
 
-    states, rows = automata._explore((0, 0), lambda st: [t for _, t in moves(st)])
+    cfg = config or logic.CompileConfig()
+    states, rows = cfg.build(automata._explore, (0, 0), lambda st: [t for _, t in moves(st)])
     nfa = Nfa(k, 1, len(states), initials={0: 1},
               finals={i: 1 for i, (c, ph) in enumerate(states) if c == 0 and ph in (0, 2, 3, 5)})
     for src, (state, row) in enumerate(zip(states, rows)):
@@ -651,7 +653,7 @@ def representation_count(digit_set, k):
                 nfa.add_eps(src, dst)
             else:
                 nfa.add_edge(src, d, dst)
-    return _count_series(trim_nfa(nfa), k, logic.CompileConfig())
+    return _count_series(trim_nfa(cfg.note(nfa)), k, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from autoseq.automata import (Dfa, Nfa, StateLimit, _explore, _sccs, complement,
                               is_empty, is_finite, load, minimize, pad_closure,
                               permute_tracks, product, project, project_many,
                               reverse, store)
+from autoseq.logic import CompileConfig, ResourceLimit
 from autoseq.numeration import DigitWord
 
 
@@ -157,20 +158,24 @@ def test_project_many_counts_colliding_symbols():
     assert (nfa.initials, nfa.finals) == ({0: 1}, {1: 1})
 
 
+def close_start_along_zero(nfa):
+    """nfa with its start set closed along symbol 0, in place."""
+    closed = set(nfa.initials)
+    stack = list(closed)
+    while stack:
+        for q in nfa.steps[stack.pop()].get(0, ()):
+            if q not in closed:
+                closed.add(q)
+                stack.append(q)
+    nfa.initials = dict.fromkeys(closed, 1)
+    return nfa
+
+
 def reverse_projection_reference(a, drop, pad, limit=None):
     """determinize(reverse(project_many(a, drop))), the start closed along
     symbol 0 when pad is set."""
     rev = reverse(project_many(a, drop))
-    if pad:
-        closed = set(rev.initials)
-        stack = list(closed)
-        while stack:
-            for q in rev.steps[stack.pop()].get(0, ()):
-                if q not in closed:
-                    closed.add(q)
-                    stack.append(q)
-        rev.initials = dict.fromkeys(closed, 1)
-    return determinize(rev, limit)
+    return determinize(close_start_along_zero(rev) if pad else rev, limit)
 
 
 def test_determinize_reverse_matches_reversed_projection():
@@ -203,6 +208,43 @@ def test_determinize_reverse_matches_reversed_projection():
                         with pytest.raises(StateLimit):
                             route(a, drop, pad, limit=want.n_states - 1)
     assert sum(size > 40 for size in sizes) >= 20, sizes  # not only trivial cases
+
+
+def test_projecting_a_mirror_forward_matches_the_double_reversal():
+    # A quantifier block handed the mirror m of its body (the minimal DFA
+    # of the reversed language) projects m forward, its start closed along
+    # the projected zero: trailing zeros of the forward language lead in
+    # m.  Up to minimize that is the first reversal of the forward DFA.
+    rng = random.Random(20)
+    sizes = []
+    for k, arity in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        nsym = k ** arity
+        drops = [set(c) for r in range(arity) for c in itertools.combinations(range(arity), r)]
+        for trial in range(6):
+            cases = None
+            while cases is None:  # redraw the few mirrors whose projections explode
+                n = rng.choice((2, 3, 5, 7))
+                rows = [[rng.randrange(n) for _ in range(nsym)] for _ in range(n)]
+                a = Dfa(k, arity, rows, rng.randrange(n),
+                        {q for q in range(n) if rng.random() < 0.4})
+                mirror = minimize(automata.determinize_reverse(a))
+                try:
+                    cases = [(m, drop, nfa, determinize(nfa, 1500))
+                             for m in (mirror, complement(mirror)) for drop in drops
+                             for nfa in [close_start_along_zero(project_many(m, drop))]]
+                except StateLimit:
+                    pass
+            for m, drop, nfa, got in cases:
+                forward = automata.determinize_reverse(m)
+                want = minimize(automata.determinize_reverse(forward, drop, pad=True))
+                assert minimize(got) == want, (rows, a.initial, a.finals, m == mirror, drop)
+                sizes.append(got.n_states)
+                if got.n_states > 1:  # the start subset is never refused
+                    with pytest.raises(StateLimit):
+                        determinize(nfa, limit=got.n_states - 1)
+                    with pytest.raises(ResourceLimit):
+                        CompileConfig(max_states=got.n_states - 1).build(determinize, nfa)
+    assert sum(size > 10 for size in sizes) >= 20, sizes  # not only trivial cases
 
 
 def funnel_dfa(rng, n, k, arity, heavy):

@@ -305,11 +305,71 @@ def test_peak_states_covers_intermediate_constructions(monkeypatch):
             return out
         return wrapper
 
-    monkeypatch.setattr(logic, "determinize_reverse", recording(logic.determinize_reverse))
-    monkeypatch.setattr(logic, "product", recording(logic.product))
-    cfg = CompileConfig()
-    compile(parse("E i (n >= 1) & (A t (t < n) => x[i+t] = x[i+n+t])"), ENV, cfg)
-    assert built and cfg.peak_states == max(built)
+    for name in ("determinize_reverse", "determinize", "product"):
+        monkeypatch.setattr(logic, name, recording(getattr(logic, name)))
+    # the second formula hands the A block's mirror to the E block, which
+    # projects it forward with determinize
+    for text in ("E i (n >= 1) & (A t (t < n) => x[i+t] = x[i+n+t])",
+                 "E i A t (t < n) => x[i+t] = x[i+n+t]"):
+        built.clear()
+        cfg = CompileConfig()
+        compile(parse(text), ENV, cfg)
+        assert built and cfg.peak_states == max(built), text
+
+
+class _DoubleReversal(logic._Compiler):
+    """Reference compiler: every quantifier block runs both reversals and
+    hands on a forward DFA, as E blocks did before mirrors were handed
+    over."""
+
+    def exists_many(self, names, value, mirror=False):
+        if isinstance(value, bool):
+            return value
+        dfa, vars_ = value
+        drop = {vars_.index(v) for v in set(names) if v in vars_}
+        if not drop:
+            return value
+        if len(drop) == len(vars_):
+            return not automata.is_empty(dfa)[0]
+        reversed_ = minimize(automata.determinize_reverse(dfa, drop, pad=True))
+        return (automata.determinize_reverse(reversed_),
+                tuple(w for i, w in enumerate(vars_) if i not in drop))
+
+
+@pytest.mark.parametrize("seq", [TM, S3], ids=["tm", "s3"])
+def test_nested_blocks_match_the_double_reversal_in_every_block(seq, monkeypatch):
+    formulas = [
+        "E i A t (t < n) => x[i+t] = x[i+n+t]",  # E over A
+        "A i E j (j >= i) & x[j] != x[j+n]",  # A over E
+        "E i ~E t (t < n) & x[i+t] != x[i+n+t]",  # E x ~E y
+        "A i E j A t (t < n) => x[i+j+t] = x[j+t+n]",  # three alternating levels
+        "E i A m E j (j < n) & x[i+j] = x[n+j]",  # an inner block drops nothing
+        "A m E j (j < n) & x[j] = x[j+n]",  # so does the outermost
+        "(n >= 1) & ~(E j A t (t < 3) => x[j+t] = x[t])",  # E j drops every track
+        "~(E j A t (t < 3) => x[j+t] = x[t])",
+        "E n A i E j (j > i) & x[j] = x[j+n]",
+        "A n (n >= 1) => E i ~E t (t < n) & x[i+t] != x[i+n+t]",
+    ]
+    env = {"x": seq}
+    forward = []  # each block that projected a mirror forward
+
+    def recording(*args, **kwargs):
+        forward.append(args[0])
+        return determinize(*args, **kwargs)
+
+    monkeypatch.setattr(logic, "determinize", recording)
+
+    def run(f):
+        if free_variables(f):
+            return compile(f, env)
+        d = decide(f, env)
+        return d.value, d.witness, d.counterexample
+
+    got = [run(parse(text)) for text in formulas]
+    assert len(forward) >= 6
+    monkeypatch.setattr(logic, "_Compiler", _DoubleReversal)
+    for text, out in zip(formulas, got):
+        assert out == run(parse(text)), text
 
 
 def test_base3_unbordered_lengths_under_a_small_ceiling():

@@ -535,6 +535,20 @@ def test_representation_count_negative_digits_infinite():
     assert rep.evaluate(1) == INF
 
 
+def test_representation_count_runs_under_the_callers_ceiling():
+    # the carry automaton and the infinity locus count in the peak and stop
+    # at the ceiling; the series does not depend on the config
+    for digits, k in (({0, 1, 2}, 2), ({-1, 0, 1}, 2), ({0, 1, 3, 4}, 3)):
+        cfg = CompileConfig()
+        rep = representation_count(digits, k, cfg)
+        assert store(rep) == store(representation_count(digits, k))
+        assert cfg.peak_states > 1
+        with pytest.raises(ResourceLimit):
+            representation_count(digits, k, CompileConfig(max_states=cfg.peak_states - 1))
+        assert store(representation_count(
+            digits, k, CompileConfig(max_states=cfg.peak_states))) == store(rep)
+
+
 def test_kernel_relations_digit_sum():
     s2 = LinRep("nat", 2, (0, 1),
                 (((1, 0), (0, 1)), ((1, 0), (1, 1))), (1, 0))
