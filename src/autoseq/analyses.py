@@ -440,5 +440,4 @@ def conjectured_bordered_lengths(config=None):
             nfa.add_eps(dst, src)
         else:
             nfa.add_edge(dst, d, src)
-    det = automata.determinize(automata.eps_eliminate(nfa))
-    return pad_closure(det)
+    return pad_closure(automata.determinize(regseq.eps_saturate(nfa)))

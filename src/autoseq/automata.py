@@ -111,6 +111,14 @@ def _reachable(starts, succ):
     return seen
 
 
+def _zero_unstable(transitions, initial, label):
+    """Least state reachable from initial whose successor on the all-zero
+    symbol 0 has another label(q), else None: then trailing zeros never
+    change a word's label (finality: pad-closed; outputs: padding stable)."""
+    reach = _reachable((initial,), transitions.__getitem__)
+    return min((q for q in reach if label(transitions[q][0]) != label(q)), default=None)
+
+
 def _sccs(nodes, succ):
     """Strongly connected components reachable from nodes, as lists, in
     reverse topological order (a component comes before every component
@@ -324,7 +332,7 @@ def _subsets(base, arity, packed, start, final_mask, limit, disjoint=False):
 def determinize(a, limit=None):
     """Subset construction; multiplicities collapse to plain membership."""
     if a.has_eps():
-        raise ValueError("determinize requires an epsilon-free NFA; call eps_eliminate first")
+        raise ValueError("determinize requires an epsilon-free NFA")
     n = a.n_states
     packed = [0] * n
     for q, steps in enumerate(a.steps):
@@ -334,8 +342,9 @@ def determinize(a, limit=None):
 
 
 def determinize_reverse(a, drop=(), pad=False, limit=None):
-    """determinize(reverse(project_many(a, drop))), read straight off the
-    transition table of the complete DFA a; an empty drop projects nothing.
+    """Subset construction of the reversal of project_many(a, drop), read
+    straight off the transition table of the complete DFA a; an empty drop
+    projects nothing.
 
     With pad the start subset is closed along symbol 0: in reverse,
     trailing zeros lead, so the result accepts the reversal of w whenever
@@ -370,31 +379,6 @@ def determinize_reverse(a, drop=(), pad=False, limit=None):
                     disjoint=len(keep) == a.arity)
 
 
-def reverse(a):
-    """Nfa of the reversed language of a Dfa or an epsilon-free Nfa.
-
-    Every edge q -s-> t becomes t -s-> q with its multiplicity; initial
-    and final states swap, weights included.
-    """
-    if isinstance(a, Dfa):
-        edges = ((q, s, t, 1) for q, row in enumerate(a.transitions) for s, t in enumerate(row))
-        initials, finals = a.finals, {a.initial}
-    else:
-        if a.has_eps():
-            raise ValueError("reverse requires an epsilon-free NFA; call eps_eliminate first")
-        edges = ((q, s, t, mult) for q, row in enumerate(a.steps)
-                 for s, targets in row.items() for t, mult in targets.items())
-        initials, finals = a.finals, a.initials
-    steps = [{} for _ in range(a.n_states)]
-    for q, s, t, mult in edges:
-        back = steps[t].get(s)
-        if back is None:
-            steps[t][s] = {q: mult}
-        else:
-            back[q] = mult
-    return Nfa(a.base, a.arity, a.n_states, steps, initials=initials, finals=finals)
-
-
 def complement(a):
     """Swap accepting and non-accepting states of a complete DFA."""
     return Dfa(a.base, a.arity, a.transitions, a.initial,
@@ -419,13 +403,6 @@ def product(a, b, op, limit=None):
         lambda pair: zip(a.transitions[pair[0]], b.transitions[pair[1]]), limit)
     return Dfa(a.base, a.arity, rows, 0,
                {i for i, (qa, qb) in enumerate(pairs) if fn(qa in a.finals, qb in b.finals)})
-
-
-def project(a, track):
-    """Drop one track; the result guesses the removed digits (an NFA)."""
-    if not 0 <= track < a.arity:
-        raise IndexError(f"track {track} out of range for arity {a.arity}")
-    return project_many(a, {track})
 
 
 def _kept_tracks(a, tracks):
@@ -487,6 +464,8 @@ def pad_closure(a):
 
     Afterwards membership depends only on the decoded value tuple.  The
     result is minimized, which makes pad_closure a structural fixed point.
+    A test for pad-closure needs no construction (_zero_unstable); this
+    stays public because bench/tracer.py traces it as a layer of its own.
     """
     zero = 0  # lex id of the all-zero symbol
     # Step 1: accept w whenever some w·0^j is accepted (strip closure): the
@@ -641,30 +620,6 @@ def equivalent(a, b):
     diff = product(a, b, "xor")
     empty, witness = is_empty(diff)
     return (True, None) if empty else (False, witness)
-
-
-def eps_eliminate(a):
-    """Language-preserving epsilon removal (multiplicities collapse to 1).
-
-    Path counts are not preserved; use regseq.eps_saturate when they matter.
-    """
-    closures = [_reachable((q,), a.eps.__getitem__) for q in range(a.n_states)]
-    out = Nfa(a.base, a.arity, a.n_states,
-              initials=dict(a.initials), finals=dict(a.finals))
-    for q in range(a.n_states):
-        targets = {}
-        for p in closures[q]:
-            for s, row in a.steps[p].items():
-                acc = targets.setdefault(s, set())
-                for t in row:
-                    acc.update(closures[t])
-        for s, ts in targets.items():
-            for t in ts:
-                out.add_edge(q, s, t)
-    for q in range(a.n_states):
-        if any(t in a.finals for t in closures[q]):
-            out.finals[q] = 1
-    return out
 
 
 def store(aut):

@@ -160,9 +160,8 @@ def cmd_verify_conjecture(args):
                   != bool(pattern.fullmatch(format(n, "b")) if n else False)]
     print(f"sample check on n < {args.sample}: "
           f"{'consistent' if not sample_bad else f'mismatch at {sample_bad[0]}'}")
-    bordered = automata.pad_closure(automata.Dfa(
-        ch.base, 1, ch.transitions, ch.initial,
-        {q for q in range(ch.n_states) if ch.outputs[q] == 0}))
+    bordered = automata.Dfa(ch.base, 1, ch.transitions, ch.initial,
+                            {q for q in range(ch.n_states) if ch.outputs[q] == 0})
     regex_dfa = analyses.conjectured_bordered_lengths(session.config)
     same, counterexample = automata.equivalent(bordered, regex_dfa)
     if same:

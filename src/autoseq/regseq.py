@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import automata, logic
-from .automata import Dfa, Nfa, equivalent, minimize, pad_closure
+from .automata import Dfa, Nfa, minimize
 from .numeration import encode_lsd
 
 
@@ -581,11 +581,11 @@ def count_parameter(p, config=None):
     """
     if p.arity != 2:
         raise ValueError(f"count_parameter needs an arity-2 automaton, got {p.arity}")
-    pmin = minimize(p)
-    same, witness = equivalent(pmin, pad_closure(pmin))
-    if not same:
-        raise ValueError(f"automaton is not pad-closed (differs at {witness})")
-    return _count_series(trim_nfa(_unique_representative_nfa(pmin)), p.base,
+    bad = automata._zero_unstable(p.transitions, p.initial, p.finals.__contains__)
+    if bad is not None:
+        raise ValueError(f"automaton is not pad-closed: state {bad} and its zero "
+                         "successor disagree on acceptance")
+    return _count_series(trim_nfa(_unique_representative_nfa(minimize(p))), p.base,
                          config or logic.CompileConfig())
 
 

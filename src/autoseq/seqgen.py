@@ -7,7 +7,7 @@ independent of how many trailing zero digits its representation carries;
 it is validated at construction and on load.
 """
 
-from .automata import _reachable
+from .automata import _zero_unstable
 from .numeration import encode_lsd
 
 
@@ -16,7 +16,9 @@ class Dfao:
 
     __slots__ = ("base", "transitions", "initial", "outputs", "output_alphabet")
 
-    def __init__(self, base, transitions, initial, outputs, check=True):
+    def __init__(self, base, transitions, initial, outputs):
+        if base < 2:
+            raise ValueError(f"base must be >= 2, got {base}")
         self.base = base
         self.transitions = tuple(tuple(row) for row in transitions)
         self.initial = initial
@@ -29,22 +31,15 @@ class Dfao:
             for t in row:
                 if not 0 <= t < len(self.transitions):
                     raise ValueError(f"transition target {t} out of range")
+        if not 0 <= initial < len(self.transitions):
+            raise ValueError(f"initial state {initial} out of range")
         try:
             self.output_alphabet = tuple(sorted(set(self.outputs)))
         except TypeError:
             raise ValueError("outputs must be mutually comparable") from None
-        if check:
-            bad = self._padding_unstable_state()
-            if bad is not None:
-                raise ValueError(
-                    f"padding instability: state {bad} and its zero successor disagree")
-
-    def _padding_unstable_state(self):
-        """The least reachable state whose zero successor changes the
-        output, if any."""
-        reach = _reachable((self.initial,), self.transitions.__getitem__)
-        return min((q for q in reach
-                    if self.outputs[self.transitions[q][0]] != self.outputs[q]), default=None)
+        bad = _zero_unstable(self.transitions, self.initial, self.outputs.__getitem__)
+        if bad is not None:
+            raise ValueError(f"padding instability: state {bad} and its zero successor disagree")
 
     @property
     def n_states(self):
@@ -107,9 +102,10 @@ def load(text):
     if parts[0] != "dfao":
         raise ValueError(f"line {lineno}: expected dfao header")
     fields = dict(p.partition("=")[::2] for p in parts[1:])
-    base = int(fields["base"])
-    n_states = int(fields["states"])
-    initial = int(fields["initial"])
+    try:
+        base, n_states, initial = (int(fields[key]) for key in ("base", "states", "initial"))
+    except KeyError as exc:
+        raise ValueError(f"line {lineno}: header has no {exc.args[0]}= field") from None
     if fields.get("order", "lsd") != "lsd":
         raise ValueError(f"line {lineno}: unsupported digit order {fields.get('order')!r}")
     outputs = [None] * n_states
@@ -119,12 +115,16 @@ def load(text):
         if parts[0] == "state":
             if len(parts) != 4 or parts[2] != "output":
                 raise ValueError(f"line {lineno}: malformed state line {ln!r}")
-            sym = parts[3]
-            outputs[int(parts[1])] = int(sym) if sym.lstrip("-").isdigit() else sym
+            q, sym = int(parts[1]), parts[3]
+            if not 0 <= q < n_states:
+                raise ValueError(f"line {lineno}: state {q} out of range")
+            outputs[q] = int(sym) if sym.lstrip("-").isdigit() else sym
         else:
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed transition {ln!r}")
             src, d, dst = (int(p) for p in parts)
+            if not (0 <= src < n_states and 0 <= d < base):
+                raise ValueError(f"line {lineno}: state or digit out of range in {ln!r}")
             table[src][d] = dst
     for q in range(n_states):
         if outputs[q] is None:

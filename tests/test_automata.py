@@ -4,11 +4,10 @@ import random
 import pytest
 
 from autoseq import automata
-from autoseq.automata import (Dfa, Nfa, StateLimit, _explore, _sccs, complement,
-                              determinize, eps_eliminate, equivalent, inflate,
+from autoseq.automata import (Dfa, Nfa, StateLimit, _explore, _sccs, _zero_unstable,
+                              complement, determinize, equivalent, inflate,
                               is_empty, is_finite, load, minimize, pad_closure,
-                              permute_tracks, product, project, project_many,
-                              reverse, store)
+                              permute_tracks, product, project_many, store)
 from autoseq.logic import CompileConfig, ResourceLimit
 from autoseq.numeration import DigitWord
 
@@ -92,6 +91,27 @@ def random_nfa(rng, n, k, arity):
         for _ in range(rng.randrange(1, 5)):
             a.add_edge(q, rng.randrange(k ** arity), rng.randrange(n), mult=rng.randrange(1, 4))
     return a
+
+
+def reverse(a):
+    """Nfa of the reversed language of a Dfa or an epsilon-free Nfa.
+
+    Every edge q -s-> t becomes t -s-> q with its multiplicity; initial
+    and final states swap, weights included.
+    """
+    if isinstance(a, Dfa):
+        edges = ((q, s, t, 1) for q, row in enumerate(a.transitions) for s, t in enumerate(row))
+        initials, finals = a.finals, {a.initial}
+    else:
+        if a.has_eps():
+            raise ValueError("reverse requires an epsilon-free NFA")
+        edges = ((q, s, t, mult) for q, row in enumerate(a.steps)
+                 for s, targets in row.items() for t, mult in targets.items())
+        initials, finals = a.finals, a.initials
+    steps = [{} for _ in range(a.n_states)]
+    for q, s, t, mult in edges:
+        steps[t].setdefault(s, {})[q] = mult
+    return Nfa(a.base, a.arity, a.n_states, steps, initials=initials, finals=finals)
 
 
 def nfa_accepts(a, word):
@@ -336,19 +356,19 @@ def test_product():
 def test_project_and_inflate():
     # {(n, i) : i = n}: every n has a witness, so the projection is everything
     eq = Dfa(2, 2, [[0, 1, 1, 0], [1] * 4], 0, {0})
-    all_n = pad_closure(determinize(project(eq, 1)))
+    all_n = pad_closure(determinize(project_many(eq, {1})))
     assert all(all_n.accepts_values((n,)) for n in range(20))
 
     # {(n, i) : n = 2i}: project the witness, keep even n
     from autoseq.logic import parse, compile as lcompile
     from autoseq.seqgen import thue_morse
     dfa = lcompile(parse("n = 2*i"), {"x": thue_morse()})  # tracks (i, n)
-    evens = pad_closure(determinize(project(dfa, 0)))
+    evens = pad_closure(determinize(project_many(dfa, {0})))
     for n in range(17):
         assert evens.accepts_values((n,)) == (n % 2 == 0)
 
     nothing = Dfa(2, 2, [[0] * 4], 0, set())
-    empty_proj = determinize(project(nothing, 0))
+    empty_proj = determinize(project_many(nothing, {0}))
     e, _ = is_empty(empty_proj)
     assert e
 
@@ -371,6 +391,33 @@ def test_pad_closure_examples():
     closed = pad_closure(one_pad)
     for n in range(32):
         assert closed.accepts_values((n,)) == (n == 1)
+
+
+def test_zero_unstable_decides_pad_closure():
+    rng = random.Random(21)
+    closed_count = [0, 0]
+    for trial in range(300):
+        k, arity = rng.choice(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)))
+        n = rng.randrange(1, 9)
+        rows = [[rng.randrange(n) for _ in range(k ** arity)] for _ in range(n)]
+        if trial % 2:  # zero self-loops, a few redirected: both outcomes stay common
+            for q in range(n):
+                rows[q][0] = q if rng.random() < 0.9 else rng.randrange(n)
+        finals = {q for q in range(n) if rng.random() < 0.5}
+        a = Dfa(k, arity, rows, rng.randrange(n), finals)
+        got = _zero_unstable(a.transitions, a.initial, a.finals.__contains__)
+        closed, _ = equivalent(a, pad_closure(a))
+        assert (got is None) == closed, (rows, a.initial, finals)
+        reach, stack = {a.initial}, [a.initial]
+        while stack:
+            for t in rows[stack.pop()]:
+                if t not in reach:
+                    reach.add(t)
+                    stack.append(t)
+        offenders = sorted(q for q in reach if (q in finals) != (rows[q][0] in finals))
+        assert got == (offenders[0] if offenders else None), (rows, a.initial, finals)
+        closed_count[closed] += 1
+    assert min(closed_count) >= 100, closed_count
 
 
 def test_minimize_idempotent_and_canonical():
@@ -569,24 +616,29 @@ def test_equivalent_examples():
 
 
 def test_eps_eliminate():
+    # epsilon removal is regseq.eps_saturate; it keeps the language of
+    # plain, chained and looping eps moves
+    from autoseq.regseq import eps_saturate
+
+    def language(a, maxlen=4):
+        d = determinize(eps_saturate(a))
+        return {w for n in range(maxlen + 1) for w in itertools.product(range(2), repeat=n)
+                if d.accepts(DigitWord(2, 1, tuple((x,) for x in w)))}
+
     plain = Nfa(2, 1, 2, initials=[0], finals=[1])
     plain.add_edge(0, 1, 1)
-    out = eps_eliminate(plain)
-    assert determinize(out).accepts(DigitWord(2, 1, ((1,),)))
+    assert language(plain) == {(1,)}
 
     chained = Nfa(2, 1, 2, initials=[0], finals=[1])
     chained.add_eps(0, 1)
-    out = eps_eliminate(chained)
-    assert 0 in out.finals  # the initial state became accepting
+    assert 0 in eps_saturate(chained).finals  # the initial state became accepting
+    assert language(chained) == {()}
 
     loop = Nfa(2, 1, 2, initials=[0], finals=[1])
     loop.add_eps(0, 0)
     loop.add_eps(0, 1)
     loop.add_edge(1, 1, 1)
-    out = eps_eliminate(loop)
-    d = determinize(out)
-    assert d.accepts(DigitWord(2, 1, ((1,),)))
-    assert d.accepts(DigitWord(2, 1, ()))
+    assert language(loop) == {(1,) * j for j in range(5)}
 
 
 def test_permute_tracks():
@@ -622,7 +674,7 @@ def test_random_projection_inflation_roundtrip():
         a = Dfa(2, 2, rows, 0, finals)
         t = rng.randrange(3)
         grown = inflate(a, t)
-        back = pad_closure(determinize(project(grown, t)))
+        back = pad_closure(determinize(project_many(grown, {t})))
         eq, cex = equivalent(back, pad_closure(a))
         assert eq, (rows, finals, t, cex)
         # several tracks in one rebuild equal one track at a time

@@ -151,11 +151,24 @@ def test_user_errors_exit_2(tmp_path, capsys):
     unstable = tmp_path / "unstable.dfao"
     unstable.write_text("dfao base=2 states=2 initial=0 order=lsd\n"
                         "state 0 output 0\nstate 1 output 1\n0 0 1\n0 1 1\n1 0 1\n1 1 1\n")
+    one_state = "state 0 output 0\n0 0 0\n0 1 0\n"
+    malformed = {  # rejected as user errors, not left to raise IndexError or KeyError
+        "initial": "dfao base=2 states=1 initial=3 order=lsd\n" + one_state,
+        "no-initial": "dfao base=2 states=1 order=lsd\n" + one_state,
+        "digit": "dfao base=2 states=1 initial=0 order=lsd\n" + one_state + "0 2 0\n",
+        "source": "dfao base=2 states=1 initial=0 order=lsd\n" + one_state + "1 0 0\n",
+        "output": "dfao base=2 states=1 initial=0 order=lsd\n" + one_state + "state 1 output 1\n",
+        "base": "dfao base=0 states=1 initial=0 order=lsd\nstate 0 output 0\n",
+    }
+    for name, text in malformed.items():
+        (tmp_path / f"{name}.dfao").write_text(text)
     for argv in (["eval-seq", "tm", "1..x"],
                  ["measure", "factors-in-both", "tm", "1..4"],
                  ["measure", "subword-complexity", "tm", "1..4", "--anchor", "end"],
                  ["--seq", f"c={tmp_path / 'missing.dfao'}", "eval-seq", "c", "0..3"],
                  ["--seq", f"c={unstable}", "eval-seq", "c", "0..3"],
+                 *(["--seq", f"c={tmp_path / name}.dfao", "eval-seq", "c", "0..3"]
+                   for name in malformed),
                  ["characteristic", "i < n"]):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv

@@ -445,7 +445,8 @@ def test_count_parameter_infinite():
 def test_count_parameter_requires_pad_closed():
     rows = [[3, 1], [2, 3], [3, 3], [3, 3]]
     not_closed = Dfa(2, 2, [[r[0], r[0], r[1], r[1]] for r in rows], 0, {2})
-    with pytest.raises(ValueError, match="pad-closed"):
+    # states 1 and 2, both reachable, change acceptance on (0, 0); 1 is named
+    with pytest.raises(ValueError, match="not pad-closed: state 1 "):
         count_parameter(not_closed)
     with pytest.raises(ValueError, match="arity"):
         count_parameter(Dfa(2, 1, [[0, 0]], 0, {0}))
