@@ -401,7 +401,7 @@ def conjectured_bordered_lengths(config=None):
 
     Built by reversing a small epsilon-NFA for the msd pattern and closing
     under padding, so it can be compared against compiled characteristic
-    automata.
+    automata.  config bounds the subset construction and records its size.
     """
     states = [0]
 
@@ -440,4 +440,5 @@ def conjectured_bordered_lengths(config=None):
             nfa.add_eps(dst, src)
         else:
             nfa.add_edge(dst, d, src)
-    return pad_closure(automata.determinize(regseq.eps_saturate(nfa)))
+    cfg = config or CompileConfig()
+    return pad_closure(cfg.note(cfg.build(automata.determinize, regseq.eps_saturate(nfa))))

@@ -165,16 +165,19 @@ def _cyclic(comp, succ):
 
 
 class Dfa:
-    """Complete deterministic automaton over the tuple-digit alphabet."""
+    """Complete deterministic automaton over the tuple-digit alphabet.
+
+    Dfa(...) checks the base, the table and the states (load() builds
+    through it); the constructions whose tables the engine numbers itself
+    use _from_rows, which checks nothing.
+    """
 
     __slots__ = ("base", "arity", "transitions", "initial", "finals")
 
     def __init__(self, base, arity, transitions, initial, finals):
-        self.base = base
-        self.arity = arity
-        self.transitions = tuple(tuple(row) for row in transitions)
-        self.initial = initial
-        self.finals = frozenset(finals)
+        if base < 2:
+            raise ValueError(f"base must be >= 2, got {base}")
+        self._set(base, arity, transitions, initial, finals)
         nsym = base ** arity
         n = len(self.transitions)
         for row in self.transitions:
@@ -185,8 +188,20 @@ class Dfa:
                 raise ValueError(f"transition target {t} out of range")
         if not 0 <= initial < n:
             raise ValueError("initial state out of range")
-        if any(f >= n for f in self.finals):
+        if any(not 0 <= f < n for f in self.finals):
             raise ValueError("final state out of range")
+
+    @classmethod
+    def _from_rows(cls, base, arity, rows, initial, finals):
+        """Dfa straight from a table of successor ids; nothing is checked."""
+        a = cls.__new__(cls)
+        a._set(base, arity, rows, initial, finals)
+        return a
+
+    def _set(self, base, arity, rows, initial, finals):
+        self.base, self.arity, self.initial = base, arity, initial
+        self.transitions = tuple(map(tuple, rows))
+        self.finals = frozenset(finals)
 
     @property
     def n_states(self):
@@ -325,8 +340,8 @@ def _subsets(base, arity, packed, start, final_mask, limit, disjoint=False):
         return [acc >> sh & full for sh in shifts]
 
     subsets, rows = _explore(start, successors, limit)
-    return Dfa(base, arity, rows, 0,
-               {i for i, subset in enumerate(subsets) if subset & final_mask})
+    return Dfa._from_rows(base, arity, rows, 0,
+                          {i for i, subset in enumerate(subsets) if subset & final_mask})
 
 
 def determinize(a, limit=None):
@@ -381,8 +396,8 @@ def determinize_reverse(a, drop=(), pad=False, limit=None):
 
 def complement(a):
     """Swap accepting and non-accepting states of a complete DFA."""
-    return Dfa(a.base, a.arity, a.transitions, a.initial,
-               set(range(a.n_states)) - a.finals)
+    return Dfa._from_rows(a.base, a.arity, a.transitions, a.initial,
+                          set(range(a.n_states)) - a.finals)
 
 
 _BOOL_OPS = {
@@ -401,8 +416,8 @@ def product(a, b, op, limit=None):
     pairs, rows = _explore(
         (a.initial, b.initial),
         lambda pair: zip(a.transitions[pair[0]], b.transitions[pair[1]]), limit)
-    return Dfa(a.base, a.arity, rows, 0,
-               {i for i, (qa, qb) in enumerate(pairs) if fn(qa in a.finals, qb in b.finals)})
+    finals = {i for i, (qa, qb) in enumerate(pairs) if fn(qa in a.finals, qb in b.finals)}
+    return Dfa._from_rows(a.base, a.arity, rows, 0, finals)
 
 
 def _kept_tracks(a, tracks):
@@ -444,7 +459,7 @@ def inflate(a, *positions):
         raise IndexError(f"positions {positions} invalid for arity {a.arity}")
     mapping = _track_map(a.base, arity, [t for t in range(arity) if t not in positions])
     trans = [[row[m] for m in mapping] for row in a.transitions]
-    return Dfa(a.base, arity, trans, a.initial, a.finals)
+    return Dfa._from_rows(a.base, arity, trans, a.initial, a.finals)
 
 
 def permute_tracks(a, order):
@@ -456,7 +471,7 @@ def permute_tracks(a, order):
         inverse[old_pos] = new_pos
     mapping = _track_map(a.base, a.arity, inverse)
     trans = [[row[m] for m in mapping] for row in a.transitions]
-    return Dfa(a.base, a.arity, trans, a.initial, a.finals)
+    return Dfa._from_rows(a.base, a.arity, trans, a.initial, a.finals)
 
 
 def pad_closure(a):
@@ -488,8 +503,8 @@ def pad_closure(a):
         return out
 
     states, rows = _explore((a.initial, a.initial in finals1), successors)
-    return minimize(Dfa(a.base, a.arity, rows, 0,
-                        {i for i, (_, bit) in enumerate(states) if bit}))
+    return minimize(Dfa._from_rows(a.base, a.arity, rows, 0,
+                                   {i for i, (_, bit) in enumerate(states) if bit}))
 
 
 def minimize(a):
@@ -522,8 +537,8 @@ def minimize(a):
     rep = dict(zip(cls, range(n)))  # some state of each class
     get = cls.__getitem__
     order, rows = _explore(cls[a.initial], lambda c: map(get, trans[rep[c]]))
-    return Dfa(a.base, a.arity, rows, 0,
-               {i for i, c in enumerate(order) if rep[c] in a.finals})
+    return Dfa._from_rows(a.base, a.arity, rows, 0,
+                          {i for i, c in enumerate(order) if rep[c] in a.finals})
 
 
 def _hopcroft(trans, cls, count):
@@ -654,50 +669,51 @@ def store(aut):
 
 
 def load(text):
-    """Parse the text automaton format produced by store()."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Parse the text automaton format produced by store(); malformed text
+    raises ValueError naming the line."""
+    lines = [(i + 1, ln) for i, raw in enumerate(text.splitlines()) if (ln := raw.strip())]
     if not lines:
         raise ValueError("empty automaton text")
-    header = lines[0].split()
-    kind = header[0]
-    fields = {}
-    for part in header[1:]:
-        key, _, val = part.partition("=")
-        fields[key] = val
-    base = int(fields["base"])
-    arity = int(fields["arity"])
-    n_states = int(fields["states"])
-    finals = [int(x) for x in fields["finals"].split(",") if x != ""]
+    lineno, header = lines[0]
+    kind, *parts = header.split()
+    if kind not in ("dfa", "nfa"):
+        raise ValueError(f"line {lineno}: unknown automaton kind {kind!r}")
+    fields = dict(p.partition("=")[::2] for p in parts)
+    try:
+        base, arity, n_states = (int(fields[key]) for key in ("base", "arity", "states"))
+        initials, finals = ([int(x) for x in fields[key].split(",") if x != ""]
+                            for key in ("initial", "finals"))
+    except KeyError as exc:
+        raise ValueError(f"line {lineno}: header has no {exc.args[0]}= field") from None
+    if any(not 0 <= q < n_states for q in initials + finals):
+        raise ValueError(f"line {lineno}: initial or final state out of range")
+    if kind == "dfa" and len(initials) != 1:
+        raise ValueError(f"line {lineno}: a DFA has exactly one initial state")
     index = sym_index(base, arity)
     if kind == "dfa":
-        initial = int(fields["initial"])
-        nsym = base ** arity
-        table = [[None] * nsym for _ in range(n_states)]
-        for lineno, ln in enumerate(lines[1:], start=2):
-            parts = ln.split()
-            if len(parts) != 4:
-                raise ValueError(f"line {lineno}: malformed transition {ln!r}")
-            src, label, mult, dst = parts
-            if mult != "1":
-                raise ValueError(f"line {lineno}: DFA transitions must have multiplicity 1")
-            sym = tuple(int(d) for d in label.split(","))
-            table[int(src)][index[sym]] = int(dst)
-        for q, row in enumerate(table):
-            if any(t is None for t in row):
-                raise ValueError(f"state {q}: transition table is not total")
-        return Dfa(base, arity, table, initial, finals)
-    if kind == "nfa":
-        initials = [int(x) for x in fields["initial"].split(",") if x != ""]
+        table = [[None] * base ** arity for _ in range(n_states)]
+    else:
         out = Nfa(base, arity, n_states, initials=initials, finals=finals)
-        for lineno, ln in enumerate(lines[1:], start=2):
-            parts = ln.split()
-            if len(parts) != 4:
-                raise ValueError(f"line {lineno}: malformed transition {ln!r}")
-            src, label, mult, dst = parts
-            if label == "eps":
-                out.add_eps(int(src), int(dst), int(mult))
-            else:
-                sym = tuple(int(d) for d in label.split(","))
-                out.add_edge(int(src), index[sym], int(dst), int(mult))
+    for lineno, ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 4:
+            raise ValueError(f"line {lineno}: malformed transition {ln!r}")
+        src, mult, dst = int(parts[0]), int(parts[2]), int(parts[3])
+        eps = parts[1] == "eps"
+        sym = None if eps else index.get(tuple(int(d) for d in parts[1].split(",")))
+        if not (0 <= src < n_states and 0 <= dst < n_states) or (sym is None and not eps):
+            raise ValueError(f"line {lineno}: state or symbol out of range in {ln!r}")
+        if kind == "dfa":
+            if eps or mult != 1:
+                raise ValueError(f"line {lineno}: DFA transitions must have multiplicity 1")
+            table[src][sym] = dst
+        elif eps:
+            out.add_eps(src, dst, mult)
+        else:
+            out.add_edge(src, sym, dst, mult)
+    if kind == "nfa":
         return out
-    raise ValueError(f"unknown automaton kind {kind!r}")
+    for q, row in enumerate(table):
+        if any(t is None for t in row):
+            raise ValueError(f"state {q}: transition table is not total")
+    return Dfa(base, arity, table, initials[0], finals)

@@ -609,7 +609,7 @@ def _linear_atom(k, coeffs, const, mode, cfg):
         finals = {i for i, g in enumerate(carries) if g == 0}
     else:
         finals = {i for i, g in enumerate(carries) if g is not None and g <= 0}
-    return minimize(cfg.note(Dfa(k, arity, rows, 0, finals))), names
+    return minimize(cfg.note(Dfa._from_rows(k, arity, rows, 0, finals))), names
 
 
 def _carry_reader(k, names, forms, table, initial, cfg):
@@ -886,7 +886,7 @@ class _Compiler:
                 automata._explore, (0, 0), lambda p: zip(rows_a[p[0]], rows_b[p[1]]))
             labels = [(ends_a[a], ends_b[b]) for a, b in pairs]
         finals = {i for i, ends in enumerate(labels) if None not in ends and accept(*ends)}
-        return minimize(self.cfg.note(Dfa(k, len(names), rows, 0, finals))), names
+        return minimize(self.cfg.note(Dfa._from_rows(k, len(names), rows, 0, finals))), names
 
     def atom_seqcmp(self, f):
         x = self.resolve_seq(f.xname)

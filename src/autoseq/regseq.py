@@ -21,7 +21,6 @@ from itertools import chain
 
 from . import automata, logic
 from .automata import Dfa, Nfa, minimize
-from .numeration import encode_lsd
 
 
 class _Infinity:
@@ -127,6 +126,8 @@ class LinRep:
     def __init__(self, semiring, base, u, mats, v):
         if semiring not in _SEMIRINGS:
             raise ValueError(f"unknown semiring {semiring!r}")
+        if base < 2:
+            raise ValueError(f"base must be >= 2, got {base}")
         u, mats, v = tuple(u), tuple(mats), tuple(v)
         r = len(u)
         if len(mats) != base:
@@ -187,7 +188,13 @@ class LinRep:
 
     def evaluate(self, n):
         """Value at the natural number n (canonical lsd digits)."""
-        return self.eval_word(encode_lsd(n, self.base).digits())
+        if n < 0:
+            raise ValueError(f"cannot encode negative value {n}")
+        digits = []
+        while n:
+            n, d = divmod(n, self.base)
+            digits.append(d)
+        return self.eval_word(digits)
 
     def trailing_normalized(self):
         """Whether mu(0) . v = v holds structurally."""
@@ -888,21 +895,28 @@ def store(l):
 
 
 def load(text):
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    header = lines[0].split()
-    if header[0] != "linrep":
-        raise ValueError("expected linrep header")
-    fields = dict(p.partition("=")[::2] for p in header[1:])
-    semiring = fields["semiring"]
-    base = int(fields["base"])
-    rank = int(fields["rank"])
+    """Parse the text form produced by store(); malformed text raises
+    ValueError naming the line."""
+    lines = [(i + 1, ln) for i, raw in enumerate(text.splitlines()) if (ln := raw.strip())]
+    if not lines:
+        raise ValueError("empty linrep text")
+    lineno, header = lines[0]
+    kind, *parts = header.split()
+    if kind != "linrep":
+        raise ValueError(f"line {lineno}: expected linrep header")
+    fields = dict(p.partition("=")[::2] for p in parts)
+    try:
+        semiring, base, rank = fields["semiring"], int(fields["base"]), int(fields["rank"])
+    except KeyError as exc:
+        raise ValueError(f"line {lineno}: header has no {exc.args[0]}= field") from None
     need = 2 + base * rank
     if len(lines) != 1 + need:
         raise ValueError(f"expected {need} data lines, got {len(lines) - 1}")
-    rows = [[_entry_parse(x, semiring) for x in ln.split()] for ln in lines[1:]]
-    for row in rows:
-        if len(row) != rank:
-            raise ValueError("row width disagrees with the declared rank")
+    rows = []
+    for lineno, ln in lines[1:]:
+        rows.append([_entry_parse(x, semiring) for x in ln.split()])
+        if len(rows[-1]) != rank:
+            raise ValueError(f"line {lineno}: row width disagrees with the declared rank")
     u = rows[0]
     mats = []
     at = 1

@@ -6,8 +6,8 @@ from autoseq.analyses import (FactorComparison, conjectured_bordered_lengths,
                               linear_complexity_check, measure,
                               permutation_order, recurrence_flags,
                               unbordered_characteristic)
-from autoseq.automata import equivalent, is_empty, minimize, pad_closure, permute_tracks
-from autoseq.logic import parse, compile as compile_formula
+from autoseq.automata import Dfa, equivalent, is_empty, minimize, pad_closure, permute_tracks
+from autoseq.logic import CompileConfig, ResourceLimit, parse, compile as compile_formula
 from autoseq.oracle import CertificationError, PrefixContext, brute, thue_morse_prefix
 from autoseq.regseq import INF, count_parameter
 from autoseq.seqgen import Dfao, prefix, thue_morse
@@ -268,6 +268,16 @@ def test_conjectured_bordered_lengths_against_re():
         want = bool(pat.fullmatch(format(n, "b"))) if n else False
         assert dfa.accepts_values((n,)) == want, n
     assert dfa.accepts_values((7,))
+
+
+def test_conjectured_bordered_lengths_obeys_the_config():
+    with pytest.raises(ResourceLimit):
+        conjectured_bordered_lengths(CompileConfig(max_states=2))
+    cfg = CompileConfig()
+    dfa = conjectured_bordered_lengths(cfg)
+    assert dfa == conjectured_bordered_lengths()
+    assert dfa == Dfa(2, 1, [[1, 2], [1, 1], [2, 3], [4, 5], [3, 4], [5, 1]], 0, {5})
+    assert cfg.peak_states > 0
 
 
 def test_base3_sequence_end_to_end():

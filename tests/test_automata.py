@@ -1,14 +1,17 @@
 import itertools
+import pathlib
 import random
+import sys
 
 import pytest
 
-from autoseq import automata
+from autoseq import automata, seqgen
+from autoseq.analyses import measure
 from autoseq.automata import (Dfa, Nfa, StateLimit, _explore, _sccs, _zero_unstable,
                               complement, determinize, equivalent, inflate,
                               is_empty, is_finite, load, minimize, pad_closure,
                               permute_tracks, product, project_many, store)
-from autoseq.logic import CompileConfig, ResourceLimit
+from autoseq.logic import CompileConfig, ResourceLimit, decide, parse, compile as compile_formula
 from autoseq.numeration import DigitWord
 
 
@@ -664,6 +667,23 @@ def test_store_load_roundtrip():
         load("dfa base=2 arity=1 states=2 initial=0 finals=1\n0 0 1 1\n")
 
 
+def test_load_rejects_a_header_without_finals():
+    with pytest.raises(ValueError, match="line 1: header has no finals= field"):
+        load("dfa base=2 arity=1 states=1 initial=0\n0 0 1 0\n0 1 1 0\n")
+
+
+def test_load_rejects_a_transition_from_a_missing_state():
+    with pytest.raises(ValueError, match="line 3: state or symbol out of range in '1 0 1 0'"):
+        load("dfa base=2 arity=1 states=1 initial=0 finals=0\n0 0 1 0\n1 0 1 0\n")
+
+
+def test_load_rejects_a_digit_outside_the_base():
+    with pytest.raises(ValueError, match="line 2: state or symbol out of range in '0 2 1 0'"):
+        load("dfa base=2 arity=1 states=1 initial=0 finals=0\n0 2 1 0\n")
+    with pytest.raises(ValueError, match="base must be >= 2, got 1"):
+        load("dfa base=1 arity=1 states=1 initial=0 finals=0\n0 0 1 0\n")
+
+
 def test_random_projection_inflation_roundtrip():
     rng = random.Random(42)
     pick = random.Random(7)  # separate stream: the single-track draws stay as they were
@@ -730,3 +750,38 @@ def test_sccs_against_brute_force():
         # reverse topological order: an edge never leads to a later component
         for p in range(n):
             assert all(comp_of[q] <= comp_of[p] for q in edges[p]), (edges, comps)
+
+
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "corpus"
+
+
+def test_unchecked_producers_are_faithful(monkeypatch):
+    """Tables the engine numbers itself skip Dfa's checks (Dfa._from_rows).
+    Each such automaton, from every producer, must pass those checks and
+    equal its rebuild through Dfa(...), stored as tuples and a frozenset."""
+    built = {}
+    from_rows = Dfa._from_rows
+
+    def recording(cls, *args):
+        d = from_rows(*args)
+        built.setdefault(sys._getframe(1).f_code.co_name, []).append(d)
+        return d
+
+    monkeypatch.setattr(Dfa, "_from_rows", classmethod(recording))
+    for name in ("tm", "rs"):
+        x = seqgen.load((CORPUS / f"{name}.dfao").read_text())
+        for kind in ("subword-complexity", "unbordered-count", "recurrence-R"):
+            measure(x, kind)
+        for text in ("A i E j (i < j) & (x[j] != x[j+1])",
+                     "E n (n > 0) & A i ((i < n) => (x[i] = x[i+n]))"):
+            decide(parse(text), {"x": x})
+        a = compile_formula(parse("(x[i] = x[i+n]) & (i < n)"), {"x": x})
+        for d in (complement(a), inflate(a, 1), permute_tracks(a, [1, 0]), pad_closure(a)):
+            assert d.n_states
+    assert set(built) == {"_subsets", "product", "minimize", "complement", "inflate",
+                          "permute_tracks", "pad_closure", "_linear_atom", "index_atom"}
+    for d in (d for ds in built.values() for d in ds):
+        assert type(d.transitions) is tuple and all(type(r) is tuple for r in d.transitions)
+        assert type(d.finals) is frozenset
+        checked = Dfa(d.base, d.arity, d.transitions, d.initial, d.finals)
+        assert checked == d and hash(checked) == hash(d)

@@ -8,7 +8,7 @@ from autoseq import regseq
 from autoseq.analyses import measure
 from autoseq.automata import Dfa, Nfa, StateLimit, is_empty, minimize, permute_tracks
 from autoseq.logic import CompileConfig, ResourceLimit, parse, compile as compile_formula
-from autoseq.numeration import DigitWord
+from autoseq.numeration import DigitWord, encode_lsd
 from autoseq.regseq import (INF, InfDecomposition, LinRep, count_measure,
                             count_parameter, decompose_infinity, eps_saturate,
                             kernel_relations, linrep_from_nfa, load,
@@ -16,7 +16,7 @@ from autoseq.regseq import (INF, InfDecomposition, LinRep, count_measure,
                             normalize_trailing, push_infinity_to_u,
                             representation_count, reverse_series, store,
                             trim_nfa, verify_relation, zero_rep)
-from autoseq.seqgen import prefix, thue_morse
+from autoseq.seqgen import Dfao, prefix, thue_morse
 
 TM = thue_morse()
 ENV = {"x": TM}
@@ -629,6 +629,28 @@ def test_store_load_roundtrip():
                   (((Fraction(0), 1), (2, Fraction(5, 7))), ((1, 0), (0, 1))),
                   (1, Fraction(2, 3)))
     assert load(store(lrat)) == lrat
+
+
+def test_load_rejects_a_header_without_rank():
+    with pytest.raises(ValueError, match="line 1: header has no rank= field"):
+        load("linrep semiring=nat base=2\n1\n1\n1\n1\n")
+
+
+def test_load_rejects_a_base_below_2():
+    with pytest.raises(ValueError, match="base must be >= 2, got 0"):
+        load("linrep semiring=nat base=0 rank=1\n1\n1\n")
+
+
+@pytest.mark.parametrize("x, kind", [
+    (TM, "unbordered-count"),
+    (Dfao(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0, [0, 1, 2]), "subword-complexity"),
+], ids=["tm-unbordered", "s3-subword"])
+def test_evaluate_reads_the_canonical_digits(x, kind):
+    l = measure(x, kind)
+    for n in range(301):
+        assert l.evaluate(n) == l.eval_word(encode_lsd(n, x.base).digits()), n
+    with pytest.raises(ValueError, match="cannot encode negative value -1"):
+        l.evaluate(-1)
 
 
 def test_trim_drops_dead_eps_cycle():
