@@ -21,15 +21,9 @@ class StateLimit(RuntimeError):
 
 _ALPHABETS = {}
 _TRACK_MAPS = {}
-# Bit positions set in each byte value: the subset construction walks the
-# members of a subset a byte at a time.
+# Bit positions set in each byte value: _members and the subset
+# construction's byte memo read a mask a byte at a time.
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-# Subsets whose rows the disjoint subset construction keeps as references.
-# On the 1,511-state mirror of RS recurrence-R, 1, 16 and 64 kept subsets
-# cost 397,289, 93,862 and 52,724 row ORs (1,187,029 with none); past 16
-# the search for the nearest costs about the time the ORs save (that call
-# took 0.11 s with 16 and with 64 on a 2-vCPU Xeon VM).
-_RECENT = 16
 
 
 def alphabet(k, arity):
@@ -292,51 +286,41 @@ def _members(mask):
     return [8 * i + bit for i, byte in enumerate(data) if byte for bit in _BYTE_BITS[byte]]
 
 
-def _subsets(base, arity, packed, start, final_mask, limit, disjoint=False):
+def _subsets(base, arity, packed, start, final_mask, limit):
     """Subset construction over packed rows, the one kernel behind
     determinize and determinize_reverse.
 
     A subset is a bitmask over the n source states.  packed[q] holds q's
     successor sets for every symbol at once, symbol s in bits
-    [s*n, (s+1)*n), so the row of a subset, the OR of its members' rows,
-    costs one big-integer OR per member, after which one shift and mask
-    per symbol splits it.
+    [s*n, (s+1)*n), so the row of a subset is the OR of its members' rows,
+    after which one shift and mask per symbol splits it.
 
-    disjoint says that for every symbol the successor sets of distinct
-    states are disjoint and cover all n states.  Then the OR of rows is
-    their XOR, which is linear: row(S) = row(T) ^ row(S ^ T) for any T.
-    So each subset starts from whichever kept reference T is nearest
-    (fewest states in S ^ T): the empty set (row 0, the plain OR), the
-    full set (every bit set) or one of the _RECENT subsets built last.
-    Each row, and so the whole construction, is the same as the plain
-    route's.
+    The OR goes a byte of the subset at a time (the method of Four
+    Russians, with its table built lazily): chunk i of 8 states keeps a
+    dict from a byte value to the OR of the rows its set bits select.  A
+    single-bit byte maps to the row itself; any other entry is built the
+    first time a subset holds that byte and reused after that.  So a
+    subset's row costs one big-integer OR per nonzero byte, not one per
+    member.
     """
     n = len(packed)
     shifts = [s * n for s in range(base ** arity)]
     nbytes = (n + 7) // 8
     full = (1 << n) - 1
-    byte_rows = [packed[i:i + 8] for i in range(0, n, 8)]
-    refs, ref_rows = [0, full], [0, (1 << n * len(shifts)) - 1]
-
-    def union(mask):
-        acc = 0
-        for byte, rows in zip(mask.to_bytes(nbytes, "little"), byte_rows):
-            if byte:
-                for bit in _BYTE_BITS[byte]:
-                    acc |= rows[bit]
-        return acc
+    memos = [{1 << bit: row for bit, row in enumerate(packed[i:i + 8])}
+             for i in range(0, n, 8)]
 
     def successors(subset):
-        if not disjoint:
-            acc = union(subset)
-        else:  # the rows of S ^ T are disjoint too, so their OR is their XOR
-            costs = [(ref ^ subset).bit_count() for ref in refs]
-            i = costs.index(min(costs))
-            acc = ref_rows[i] ^ union(refs[i] ^ subset)
-            refs.append(subset)
-            ref_rows.append(acc)
-            if len(refs) > 2 + _RECENT:
-                del refs[2], ref_rows[2]
+        acc = 0
+        for byte, memo in zip(subset.to_bytes(nbytes, "little"), memos):
+            if byte:
+                row = memo.get(byte)
+                if row is None:
+                    row = 0
+                    for bit in _BYTE_BITS[byte]:
+                        row |= memo[1 << bit]
+                    memo[byte] = row
+                acc |= row
         return [acc >> sh & full for sh in shifts]
 
     subsets, rows = _explore(start, successors, limit)
@@ -367,13 +351,9 @@ def determinize_reverse(a, drop=(), pad=False, limit=None):
     reachable DFA gives the minimal DFA of its reversed language
     (Brzozowski).
 
-    State t's row holds pre_s(t), the states that enter t on symbol s.
-    With nothing dropped each state has exactly one successor per symbol,
-    so for each s the sets pre_s(t) are disjoint and cover every state,
-    and _subsets builds each row by XOR from a nearby subset's row.  A
-    dropped track merges several symbols into one, whose sets overlap, so
-    the projection keeps the plain OR of its members' rows; so does
-    determinize, whose NFA rows may overlap anyway.
+    State t's row holds pre_s(t), the states that enter t on symbol s; a
+    dropped track merges several symbols into one, whose pre_s(t) is the
+    union of theirs.  _subsets ORs these rows as it ORs an NFA's.
     """
     n = a.n_states
     keep = _kept_tracks(a, drop)
@@ -390,8 +370,7 @@ def determinize_reverse(a, drop=(), pad=False, limit=None):
     packed = pre.pop()
     while pre:  # last symbol first, freeing each symbol's masks once packed
         packed = [row << n | m for row, m in zip(packed, pre.pop())]
-    return _subsets(a.base, len(keep), packed, _mask(starts), bits[a.initial], limit,
-                    disjoint=len(keep) == a.arity)
+    return _subsets(a.base, len(keep), packed, _mask(starts), bits[a.initial], limit)
 
 
 def complement(a):
@@ -685,6 +664,8 @@ def load(text):
                             for key in ("initial", "finals"))
     except KeyError as exc:
         raise ValueError(f"line {lineno}: header has no {exc.args[0]}= field") from None
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
     if any(not 0 <= q < n_states for q in initials + finals):
         raise ValueError(f"line {lineno}: initial or final state out of range")
     if kind == "dfa" and len(initials) != 1:
@@ -698,9 +679,12 @@ def load(text):
         parts = ln.split()
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: malformed transition {ln!r}")
-        src, mult, dst = int(parts[0]), int(parts[2]), int(parts[3])
         eps = parts[1] == "eps"
-        sym = None if eps else index.get(tuple(int(d) for d in parts[1].split(",")))
+        try:
+            src, mult, dst = int(parts[0]), int(parts[2]), int(parts[3])
+            sym = None if eps else index.get(tuple(int(d) for d in parts[1].split(",")))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc} in {ln!r}") from None
         if not (0 <= src < n_states and 0 <= dst < n_states) or (sym is None and not eps):
             raise ValueError(f"line {lineno}: state or symbol out of range in {ln!r}")
         if kind == "dfa":

@@ -747,8 +747,8 @@ class _Compiler:
             value = _Mirror((dfa, vars_))
         if mirror or not isinstance(value, _Mirror):
             return value
-        # The second reversal drops no track, so its subsets' rows are XOR
-        # deltas of recent ones.
+        # The second reversal drops no track and needs no minimize: it is
+        # already the minimal DFA of the forward language.
         return self.cfg.note(self.cfg.build(determinize_reverse, dfa)), vars_
 
     def negate(self, value):

@@ -909,12 +909,17 @@ def load(text):
         semiring, base, rank = fields["semiring"], int(fields["base"]), int(fields["rank"])
     except KeyError as exc:
         raise ValueError(f"line {lineno}: header has no {exc.args[0]}= field") from None
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
     need = 2 + base * rank
     if len(lines) != 1 + need:
         raise ValueError(f"expected {need} data lines, got {len(lines) - 1}")
     rows = []
     for lineno, ln in lines[1:]:
-        rows.append([_entry_parse(x, semiring) for x in ln.split()])
+        try:
+            rows.append([_entry_parse(x, semiring) for x in ln.split()])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {lineno}: {exc} in {ln!r}") from None
         if len(rows[-1]) != rank:
             raise ValueError(f"line {lineno}: row width disagrees with the declared rank")
     u = rows[0]

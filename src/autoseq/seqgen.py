@@ -106,6 +106,8 @@ def load(text):
         base, n_states, initial = (int(fields[key]) for key in ("base", "states", "initial"))
     except KeyError as exc:
         raise ValueError(f"line {lineno}: header has no {exc.args[0]}= field") from None
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
     if fields.get("order", "lsd") != "lsd":
         raise ValueError(f"line {lineno}: unsupported digit order {fields.get('order')!r}")
     outputs = [None] * n_states
@@ -115,14 +117,20 @@ def load(text):
         if parts[0] == "state":
             if len(parts) != 4 or parts[2] != "output":
                 raise ValueError(f"line {lineno}: malformed state line {ln!r}")
-            q, sym = int(parts[1]), parts[3]
+            try:
+                q, sym = int(parts[1]), parts[3]
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc} in {ln!r}") from None
             if not 0 <= q < n_states:
                 raise ValueError(f"line {lineno}: state {q} out of range")
             outputs[q] = int(sym) if sym.lstrip("-").isdigit() else sym
         else:
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed transition {ln!r}")
-            src, d, dst = (int(p) for p in parts)
+            try:
+                src, d, dst = (int(p) for p in parts)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc} in {ln!r}") from None
             if not (0 <= src < n_states and 0 <= d < base):
                 raise ValueError(f"line {lineno}: state or digit out of range in {ln!r}")
             table[src][d] = dst

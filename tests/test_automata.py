@@ -60,16 +60,16 @@ def test_determinize_examples():
     assert d.accepts(DigitWord(2, 1, ((1,), (1,))))
 
 
-def subset_construction(a, cap):
-    """Reference subset construction over frozensets: subsets numbered in
-    breadth-first discovery order, symbols taken in order.  None once more
-    than cap subsets are found."""
+def subset_walk(a, cap=None):
+    """Reference subset construction over frozensets: (subsets, rows) with
+    subsets numbered in breadth-first discovery order, symbols taken in
+    order.  None once more than cap subsets are found."""
     start = frozenset(a.initials)
     ids = {start: 0}
     order = [start]
     rows = []
     for subset in order:
-        if len(order) > cap:
+        if cap is not None and len(order) > cap:
             return None
         row = []
         for s in range(a.base ** a.arity):
@@ -79,8 +79,37 @@ def subset_construction(a, cap):
                 order.append(succ)
             row.append(ids[succ])
         rows.append(row)
+    return order, rows
+
+
+def subset_construction(a, cap):
+    """Dfa of subset_walk(a, cap), or None past cap."""
+    walk = subset_walk(a, cap)
+    if walk is None:
+        return None
+    order, rows = walk
     return Dfa(a.base, a.arity, rows, 0,
                {i for i, subset in enumerate(order) if subset & a.finals.keys()})
+
+
+def memo_uses(subsets):
+    """(misses, hits) of the byte memo of automata._subsets over subsets in
+    FIFO order.  Each subset looks up its nonzero byte in every 8-state
+    chunk; single-bit bytes are the rows themselves, so only bytes with two
+    or more bits count: a miss the first time (chunk, byte) is seen, a hit
+    after that."""
+    seen = set()
+    misses = hits = 0
+    for subset in subsets:
+        chunks = {}
+        for q in subset:
+            chunks[q // 8] = chunks.get(q // 8, 0) | 1 << q % 8
+        for chunk, byte in chunks.items():
+            if byte & byte - 1:
+                hits += (chunk, byte) in seen
+                misses += (chunk, byte) not in seen
+                seen.add((chunk, byte))
+    return misses, hits
 
 
 def random_nfa(rng, n, k, arity):
@@ -194,11 +223,16 @@ def close_start_along_zero(nfa):
     return nfa
 
 
-def reverse_projection_reference(a, drop, pad, limit=None):
-    """determinize(reverse(project_many(a, drop))), the start closed along
-    symbol 0 when pad is set."""
+def reversed_projection(a, drop, pad):
+    """reverse(project_many(a, drop)), the start closed along symbol 0 when
+    pad is set."""
     rev = reverse(project_many(a, drop))
-    return determinize(close_start_along_zero(rev) if pad else rev, limit)
+    return close_start_along_zero(rev) if pad else rev
+
+
+def reverse_projection_reference(a, drop, pad, limit=None):
+    """determinize(reversed_projection(a, drop, pad))."""
+    return determinize(reversed_projection(a, drop, pad), limit)
 
 
 def test_determinize_reverse_matches_reversed_projection():
@@ -284,42 +318,84 @@ def funnel_dfa(rng, n, k, arity, heavy):
     return Dfa(k, arity, rows, rng.randrange(n), finals | {z} if heavy else finals)
 
 
-def nearest_references(a, recent=16):
-    """How often the nearest of (empty set, full set, the last `recent`
-    subsets) is each of those, over the reversal's subsets in FIFO order."""
-    rev = reverse(a)
-    order = [frozenset(rev.initials)]
-    seen = set(order)
-    for subset in order:
-        for s in range(a.base ** a.arity):
-            succ = frozenset(p for q in subset for p in rev.steps[q].get(s, {}))
-            if succ not in seen:
-                seen.add(succ)
-                order.append(succ)
-    picks = [0, 0, 0]
-    for i, subset in enumerate(order):
-        refs = [frozenset(), frozenset(range(a.n_states))] + order[max(0, i - recent):i]
-        costs = [len(subset ^ ref) for ref in refs]
-        picks[min(costs.index(min(costs)), 2)] += 1
-    return picks
-
-
 def test_determinize_reverse_without_projection_matches_reversal():
     rng = random.Random(15)
-    picks = [0, 0, 0]
+    uses = [0, 0]
     for trial in range(24):
         k, arity = rng.choice(((2, 1), (2, 2), (3, 1), (3, 2)))
         a = funnel_dfa(rng, rng.randrange(40, 121), k, arity, heavy=trial % 3 == 0)
         want = determinize(reverse(a))
-        picks = [x + y for x, y in zip(picks, nearest_references(a))]
+        uses = [x + y for x, y in zip(uses, memo_uses(subset_walk(reverse(a))[0]))]
         assert automata.determinize_reverse(a) == want, trial
         assert automata.determinize_reverse(a, pad=True) == reverse_projection_reference(
             a, (), True)
         if want.n_states > 1:
             with pytest.raises(StateLimit):
                 automata.determinize_reverse(a, limit=want.n_states - 1)
-    # the draws reach every kind of reference: empty, full and recent
-    assert min(picks) >= 50, picks
+    # the draws build multi-bit memo rows (misses) and reuse them (hits)
+    assert min(uses) >= 50, uses
+
+
+def overlapping_nfa(rng, n, k, arity):
+    """Epsilon-free NFA whose rows overlap: on each symbol every state
+    enters one to three states of that symbol's shared pool."""
+    nsym = k ** arity
+    pools = [rng.sample(range(n), rng.randrange(1, n + 1)) for _ in range(nsym)]
+    a = Nfa(k, arity, n, initials=rng.sample(range(n), min(n, rng.randrange(1, 3))),
+            finals=[q for q in range(n) if rng.random() < 0.4])
+    for q in range(n):
+        for s, pool in enumerate(pools):
+            for t in rng.sample(pool, min(len(pool), rng.randrange(1, 4))):
+                a.add_edge(q, s, t)
+    return a
+
+
+def image_dfa(rng, n, k, arity):
+    """Complete DFA whose every symbol leads into two to four states, so
+    its reversal stays small."""
+    nsym = k ** arity
+    images = [rng.sample(range(n), min(n, rng.randrange(2, 5))) for _ in range(nsym)]
+    rows = [[rng.choice(images[s]) for s in range(nsym)] for _ in range(n)]
+    return Dfa(k, arity, rows, rng.randrange(n), {q for q in range(n) if rng.random() < 0.4})
+
+
+def test_subset_memo_at_chunk_boundaries():
+    # n = 1 and 7 leave the only 8-state chunk partial, 8 and 16 fill their
+    # chunks exactly, 9 and 65 add a partial chunk after full ones.
+    rng = random.Random(23)
+    uses = {}
+
+    def tally(key, subsets):
+        misses, hits = memo_uses(subsets)
+        was = uses.get(key, (0, 0))
+        uses[key] = (was[0] + misses, was[1] + hits)
+
+    for n in (1, 7, 8, 9, 16, 65):
+        for trial in range(4):
+            k, arity = rng.choice(((2, 1), (2, 2), (3, 1)))
+            walk = None
+            while walk is None:  # redraw the few NFAs whose subsets explode
+                a = overlapping_nfa(rng, n, k, arity)
+                walk = subset_walk(a, 1500)
+            assert determinize(a) == subset_construction(a, 1500), (n, trial)
+            tally((n, "nfa"), walk[0])
+            for drop, pad in (((), False), ((), True), ({0}, False), ({1}, True)):
+                want = None
+                while want is None:  # redraw the few DFAs whose reversals explode
+                    d = image_dfa(rng, n, k, 2)
+                    try:
+                        want = reverse_projection_reference(d, drop, pad, 1500)
+                    except StateLimit:
+                        pass
+                got = automata.determinize_reverse(d, drop, pad)
+                assert got == want, (n, d.transitions, d.initial, d.finals, drop, pad)
+                tally((n, "reverse" if drop else "mirror"),
+                      subset_walk(reversed_projection(d, drop, pad))[0])
+    # every kind of construction builds memo rows past the first chunk, and
+    # with two chunks or more it reuses them
+    for (n, kind), (misses, hits) in uses.items():
+        assert n < 7 or misses > 0, (n, kind, uses)
+        assert n < 16 or hits > 0, (n, kind, uses)
 
 
 def test_dfa_rejects_out_of_range_targets():
@@ -682,6 +758,15 @@ def test_load_rejects_a_digit_outside_the_base():
         load("dfa base=2 arity=1 states=1 initial=0 finals=0\n0 2 1 0\n")
     with pytest.raises(ValueError, match="base must be >= 2, got 1"):
         load("dfa base=1 arity=1 states=1 initial=0 finals=0\n0 0 1 0\n")
+
+
+def test_load_names_the_line_of_a_non_integer_field():
+    with pytest.raises(ValueError, match="line 1: invalid literal for int.*'two'"):
+        load("dfa base=two arity=1 states=1 initial=0 finals=0\n0 0 1 0\n0 1 1 0\n")
+    with pytest.raises(ValueError, match="line 2: invalid literal for int.*'x' in '0 x 1 0'"):
+        load("dfa base=2 arity=1 states=1 initial=0 finals=0\n0 x 1 0\n0 1 1 0\n")
+    with pytest.raises(ValueError, match="line 3: invalid literal for int.*'q' in 'q 1 1 0'"):
+        load("nfa base=2 arity=1 states=1 initial=0 finals=0\n0 0 1 0\nq 1 1 0\n")
 
 
 def test_random_projection_inflation_roundtrip():

@@ -175,6 +175,14 @@ def test_user_errors_exit_2(tmp_path, capsys):
         assert err.startswith("error:"), argv
 
 
+def test_a_non_integer_field_exits_2_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "x.dfao"
+    path.write_text("dfao base=2 states=1 initial=0 order=lsd\nstate 0 output 0\n0 0 0\n0 x 0\n")
+    code, out, err = run(capsys, "--seq", f"c={path}", "eval-seq", "c", "0..3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "line 4: invalid literal for int()" in err, err
+
+
 def test_internal_fault_exits_4(monkeypatch, capsys):
     # a ValueError from inside the engine is not the user's mistake
     not_pad_closed = automata.Dfa(2, 2, [[1, 1, 1, 1], [1, 1, 1, 1]], 0, {0})

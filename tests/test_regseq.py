@@ -641,6 +641,17 @@ def test_load_rejects_a_base_below_2():
         load("linrep semiring=nat base=0 rank=1\n1\n1\n")
 
 
+def test_load_names_the_line_of_a_malformed_entry():
+    with pytest.raises(ValueError, match="line 1: invalid literal for int.*'two'"):
+        load("linrep semiring=nat base=two rank=1\n1\n1\n1\n1\n")
+    with pytest.raises(ValueError, match="line 3: invalid literal for int.*'x' in 'x'"):
+        load("linrep semiring=nat base=2 rank=1\n1\nx\n1\n1\n")
+    with pytest.raises(ValueError, match="line 4: inf entry outside the natinf semiring"):
+        load("linrep semiring=nat base=2 rank=1\n1\n1\ninf\n1\n")
+    with pytest.raises(ValueError, match="line 5: .* in '1/0'"):
+        load("linrep semiring=rat base=2 rank=1\n1\n1\n1\n1/0\n")
+
+
 @pytest.mark.parametrize("x, kind", [
     (TM, "unbordered-count"),
     (Dfao(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0, [0, 1, 2]), "subword-complexity"),

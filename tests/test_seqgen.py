@@ -55,6 +55,16 @@ def test_load_rejects_partial_table():
         load(text)
 
 
+def test_load_names_the_line_of_a_non_integer_field():
+    body = "state 0 output 0\n0 0 0\n0 1 0\n"
+    with pytest.raises(ValueError, match="line 1: invalid literal for int.*'two'"):
+        load("dfao base=two states=1 initial=0 order=lsd\n" + body)
+    with pytest.raises(ValueError, match="line 2: invalid literal.*'z' in 'state z output 0'"):
+        load("dfao base=2 states=1 initial=0 order=lsd\n" + body.replace("state 0", "state z"))
+    with pytest.raises(ValueError, match="line 4: invalid literal for int.*'y' in '0 1 y'"):
+        load("dfao base=2 states=1 initial=0 order=lsd\n" + body.replace("0 1 0", "0 1 y"))
+
+
 def test_padding_instability_rejected():
     # output(delta(q0, 0)) != output(q0)
     with pytest.raises(ValueError, match="instability"):
