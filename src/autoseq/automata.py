@@ -489,14 +489,15 @@ def pad_closure(a):
 def minimize(a):
     """Minimal complete DFA in canonical form.
 
-    Moore refinement: each round maps every state to (class, classes of its
-    successors) and numbers the distinct signatures, until the class count
-    stops growing.  Moore takes as many rounds as the distinguishing depth,
-    so a partition still growing after about log2(n) rounds goes to
-    Hopcroft.  A class depends only on the state's future language, so the
-    walk from the initial class reaches exactly the reachable quotient; it
-    numbers classes breadth-first with symbols in lexicographic order, so
-    language-equal minimal automata are structurally identical.
+    Moore refinement: each round names a state's new class after the first
+    state with its signature (class, classes of its successors), until the
+    count stops growing or every state is alone.  Moore takes as many
+    rounds as the distinguishing depth, so a partition still growing after
+    about log2(n) rounds goes to Hopcroft.  A class, named by a member, is
+    the set of states with one future language, so the walk from the
+    initial class reaches exactly the reachable quotient; it numbers classes
+    breadth-first with symbols in lexicographic order, so language-equal
+    minimal automata are structurally identical.
     """
     trans = a.transitions
     n = len(trans)
@@ -504,20 +505,19 @@ def minimize(a):
     cls = list(map(a.finals.__contains__, range(n)))
     count = len(set(cls))
     for _ in range(n.bit_length() + 2):
-        get = cls.__getitem__
-        sigs = list(zip(cls, *[map(get, col) for col in cols]))
-        ids = dict(zip(dict.fromkeys(sigs), range(n)))
-        cls = list(map(ids.__getitem__, sigs))
-        if len(ids) == count:
+        get, ids = cls.__getitem__, {}
+        cls = list(map(ids.setdefault, zip(cls, *[map(get, col) for col in cols]), range(n)))
+        if len(ids) in (count, n):
             break
         count = len(ids)
-    else:
-        cls = _hopcroft(trans, cls, count)
-    rep = dict(zip(cls, range(n)))  # some state of each class
+    else:  # _hopcroft wants ids 0..count-1; name its blocks by their first state
+        dense = dict(zip(ids.values(), range(count)))
+        cls = list(map({}.setdefault, _hopcroft(trans, list(map(dense.get, cls)), count),
+                       range(n)))
     get = cls.__getitem__
-    order, rows = _explore(cls[a.initial], lambda c: map(get, trans[rep[c]]))
+    order, rows = _explore(cls[a.initial], lambda c: map(get, trans[c]))
     return Dfa._from_rows(a.base, a.arity, rows, 0,
-                          {i for i, c in enumerate(order) if rep[c] in a.finals})
+                          {i for i, c in enumerate(order) if c in a.finals})
 
 
 def _hopcroft(trans, cls, count):

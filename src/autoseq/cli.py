@@ -48,7 +48,10 @@ class Session:
         bases = {s.base for s in self.sequences.values()} | {base}
         if len(bases) > 1:
             raise UsageError(f"bound sequences disagree on the base: {sorted(bases)}")
-        self.config = logic.CompileConfig(max_states=max_states, default_base=base)
+        try:
+            self.config = logic.CompileConfig(max_states=max_states, default_base=base)
+        except ValueError as exc:
+            raise UsageError(f"--base: {exc}") from None
 
     def env_for(self, formula):
         names = logic.sequence_names(formula)
@@ -66,9 +69,12 @@ class Session:
 def _parse_range(text):
     lo, sep, hi = text.partition("..")
     try:
-        return range(int(lo), int(hi if sep else lo) + 1)
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise UsageError(f"bad range {text!r}; expected N or LO..HI") from None
+    if min(lo, hi) < 0:
+        raise UsageError(f"bad range {text!r}; indices start at 0")
+    return range(lo, hi + 1)
 
 
 def _measure(session, x, args, y=None):
@@ -105,12 +111,13 @@ def cmd_characteristic(args):
     session = Session(args.seq, args.max_states, args.base)
     formula = logic.parse(args.predicate)
     env = session.env_for(formula)
+    indices = _parse_range(args.range)
     dfao = logic.characteristic(formula, env, session.config)
     if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:
             fh.write(seqgen.store(dfao))
         print(f"wrote {args.export} ({dfao.n_states} states)")
-    for n in _parse_range(args.range):
+    for n in indices:
         print(n, dfao.evaluate(n))
     return EXIT_OK
 
@@ -119,8 +126,9 @@ def cmd_measure(args):
     session = Session(args.seq, args.max_states, args.base)
     x = session.sequence(args.sequence)
     y = session.sequence(args.second) if args.second else None
+    indices = _parse_range(args.range)
     rep = _measure(session, x, args, y)
-    for n in _parse_range(args.range):
+    for n in indices:
         print(n, rep.evaluate(n))
     if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:
@@ -185,6 +193,8 @@ def cmd_verify_conjecture(args):
 
 
 def cmd_oracle_compare(args):
+    if min(args.max_n, args.prefix_len) < 0:
+        raise UsageError("max_n and --prefix-len must be >= 0")
     session = Session(args.seq, args.max_states, args.base)
     x = session.sequence(args.sequence)
     # PrefixContext certifies n <= len // 100, which holds only when every

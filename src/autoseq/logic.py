@@ -552,6 +552,8 @@ class CompileConfig:
     """
 
     def __init__(self, max_states=2_000_000, default_base=2):
+        if default_base < 2:
+            raise ValueError(f"base must be >= 2, got {default_base}")
         self.max_states = max_states
         self.default_base = default_base
         self.peak_states = 0

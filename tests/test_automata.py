@@ -305,34 +305,49 @@ def test_projecting_a_mirror_forward_matches_the_double_reversal():
 
 
 def funnel_dfa(rng, n, k, arity, heavy):
-    """Complete DFA whose symbols each map onto a few states, so its
-    reversal stays small.  With heavy, a final state z absorbs itself and
-    about 60% of the states on every symbol: every reversed subset then
-    holds z's large fibre, and most hold more than n/2 states."""
+    """Complete DFA whose symbols other than 0 each map onto a few states,
+    so its reversal stays small.  Symbol 0 swaps random pairs of states, an
+    involution, so every state is some state's successor: its reversed row
+    is never empty, and a subset's row depends on every member.  With
+    heavy, a final state z absorbs itself and about 60% of the states on
+    every other symbol: every reversed subset then holds z's large fibre."""
     nsym = k ** arity
     images = [rng.sample(range(n), rng.randrange(3, 7)) for _ in range(nsym)]
     z = rng.randrange(n)
     rows = [[z if heavy and (q == z or rng.random() < 0.6) else rng.choice(images[s])
              for s in range(nsym)] for q in range(n)]
+    pairs = rng.sample(range(n), n)
+    for p, q in zip(pairs[::2], pairs[1::2]):
+        rows[p][0], rows[q][0] = q, p
+    if n % 2:
+        rows[pairs[-1]][0] = pairs[-1]
     finals = {q for q in range(n) if rng.random() < rng.choice((0.3, 0.6, 0.9))}
     return Dfa(k, arity, rows, rng.randrange(n), finals | {z} if heavy else finals)
 
 
 def test_determinize_reverse_without_projection_matches_reversal():
+    # The references are frozenset subset constructions, so a fault in the
+    # shared _subsets kernel cannot cancel out on both sides.
     rng = random.Random(15)
     uses = [0, 0]
+    entered = states = 0
     for trial in range(24):
         k, arity = rng.choice(((2, 1), (2, 2), (3, 1), (3, 2)))
         a = funnel_dfa(rng, rng.randrange(40, 121), k, arity, heavy=trial % 3 == 0)
-        want = determinize(reverse(a))
+        entered += len({t for row in a.transitions for t in row})
+        states += a.n_states
+        want = subset_construction(reverse(a), None)
         uses = [x + y for x, y in zip(uses, memo_uses(subset_walk(reverse(a))[0]))]
         assert automata.determinize_reverse(a) == want, trial
-        assert automata.determinize_reverse(a, pad=True) == reverse_projection_reference(
-            a, (), True)
+        assert automata.determinize_reverse(a, pad=True) == subset_construction(
+            reversed_projection(a, (), True), None)
         if want.n_states > 1:
             with pytest.raises(StateLimit):
                 automata.determinize_reverse(a, limit=want.n_states - 1)
-    # the draws build multi-bit memo rows (misses) and reuse them (hits)
+    # most states are some state's successor, so their reversed rows are
+    # not empty; the draws build multi-bit memo rows (misses) and reuse them
+    # (hits)
+    assert entered >= 0.9 * states, (entered, states)
     assert min(uses) >= 50, uses
 
 
@@ -592,6 +607,7 @@ def counting_hopcroft(monkeypatch):
     real = automata._hopcroft
 
     def spy(trans, cls, count):
+        assert sorted(set(cls)) == list(range(count))  # _hopcroft indexes blocks by id
         calls.append(len(trans))
         return real(trans, cls, count)
 

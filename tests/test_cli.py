@@ -175,6 +175,31 @@ def test_user_errors_exit_2(tmp_path, capsys):
         assert err.startswith("error:"), argv
 
 
+def test_a_base_below_2_exits_2(capsys):
+    for base in ("1", "0"):
+        code, out, err = run(capsys, "--base", base, "decide", "E n n=1")
+        assert code == 2 and out == "", base
+        assert err.startswith("error:") and "base must be >= 2" in err, err
+    code, out, _ = run(capsys, "--base", "3", "decide", "E n n=1")
+    assert code == 0 and out.startswith("TRUE")
+
+
+def test_negative_numbers_exit_2(capsys):
+    for argv in (["measure", "subword-complexity", "tm", "--", "-1..3"],
+                 ["characteristic", "E j tm[j]=1 & j=n", "--", "-2..1"],
+                 ["eval-seq", "tm", "--", "-2..1"],
+                 ["eval-seq", "tm", "--", "-1"],
+                 ["eval-seq", "tm", "--", "2..-1"],
+                 ["oracle-compare", "subword-complexity", "tm", "5", "--prefix-len", "-10"],
+                 ["oracle-compare", "subword-complexity", "tm", "--", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:"), (argv, err)
+    # a reversed range of natural numbers is empty, not an error
+    assert run(capsys, "eval-seq", "tm", "5..3") == (0, "", "")
+    assert run(capsys, "eval-seq", "tm", "0..2") == (0, "0 0\n1 1\n2 1\n", "")
+
+
 def test_a_non_integer_field_exits_2_naming_the_line(tmp_path, capsys):
     path = tmp_path / "x.dfao"
     path.write_text("dfao base=2 states=1 initial=0 order=lsd\nstate 0 output 0\n0 0 0\n0 x 0\n")

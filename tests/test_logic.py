@@ -201,6 +201,15 @@ def test_resource_limit():
                       "(E i (i < l) & (x[j+i] != x[j+n-l+i])))"), ENV, cfg)
 
 
+def test_a_default_base_below_2_is_refused():
+    # base 1 used to reach the unchecked atom tables and decide E n n=1 false
+    for base in (1, 0, -2):
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            CompileConfig(default_base=base)
+    for base in (2, 3, 5):
+        assert decide(parse("E n n=1"), {}, CompileConfig(default_base=base)).value
+
+
 def test_index_atom_stops_at_the_ceiling():
     # one atom and nothing else: its carry product pairs 14 states, which
     # minimize to 7
