@@ -105,6 +105,17 @@ def _reachable(starts, succ):
     return seen
 
 
+def _useful(starts, finals, succ):
+    """Nodes on some path along succ(node) from starts to a node in finals:
+    those reachable from starts that reach one of the reachable finals."""
+    reach = _reachable(starts, succ)
+    pre = {q: [] for q in reach}
+    for q in reach:
+        for t in succ(q):
+            pre[t].append(q)
+    return _reachable([f for f in finals if f in reach], pre.__getitem__)
+
+
 def _zero_unstable(transitions, initial, label):
     """Least state reachable from initial whose successor on the all-zero
     symbol 0 has another label(q), else None: then trailing zeros never
@@ -594,12 +605,7 @@ def is_empty(a):
 def is_finite(a):
     """True iff L(a) is finite: no cycle runs through a state that is both
     reachable from the initial state and co-reachable to a final one."""
-    reach = _reachable((a.initial,), a.transitions.__getitem__)
-    pre = [[] for _ in range(a.n_states)]
-    for q in reach:
-        for t in a.transitions[q]:
-            pre[t].append(q)
-    useful = _reachable([f for f in a.finals if f in reach], pre.__getitem__)
+    useful = _useful((a.initial,), a.finals, a.transitions.__getitem__)
 
     def succ(q):
         return [t for t in a.transitions[q] if t in useful]
@@ -666,6 +672,9 @@ def load(text):
         raise ValueError(f"line {lineno}: header has no {exc.args[0]}= field") from None
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
+    for key, value, least in (("base", base, 2), ("arity", arity, 0), ("states", n_states, 0)):
+        if value < least:
+            raise ValueError(f"line {lineno}: {key} must be >= {least}, got {value}")
     if any(not 0 <= q < n_states for q in initials + finals):
         raise ValueError(f"line {lineno}: initial or final state out of range")
     if kind == "dfa" and len(initials) != 1:

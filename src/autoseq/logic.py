@@ -582,9 +582,6 @@ def _check_env(f, env):
     for name in sequence_names(f):
         if name not in env:
             raise CompileError(f"sequence {name!r} is not bound")
-    bases = {env[name].base for name in sequence_names(f)}
-    if len(bases) > 1:
-        raise CompileError(f"bound sequences disagree on the base: {sorted(bases)}")
 
 
 def _linear_atom(k, coeffs, const, mode, cfg):
@@ -688,12 +685,10 @@ class _Compiler:
     def __init__(self, env, cfg):
         self.env = env
         self.cfg = cfg
-        self.base = None
-        for s in env.values():
-            if self.base is None:
-                self.base = s.base
-            elif s.base != self.base:
-                raise CompileError("bound sequences disagree on the base")
+        bases = {s.base for s in env.values()}
+        if len(bases) > 1:
+            raise CompileError(f"bound sequences disagree on the base: {sorted(bases)}")
+        self.base = bases.pop() if bases else None
 
     def need_base(self):
         if self.base is None:
@@ -847,16 +842,6 @@ class _Compiler:
         dfa, names = _linear_atom(k, coeffs, const, "le", self.cfg)
         return dfa, names
 
-    def resolve_seq(self, name):
-        s = self.env.get(name)
-        if s is None:
-            raise CompileError(f"sequence {name!r} is not bound")
-        if self.base is None:
-            self.base = s.base
-        elif s.base != self.base:
-            raise CompileError("bound sequences disagree on the base")
-        return s
-
     def index_atom(self, readers, accept):
         """Atom on the values read at signed linear index terms.
 
@@ -891,8 +876,8 @@ class _Compiler:
         return minimize(self.cfg.note(Dfa._from_rows(k, len(names), rows, 0, finals))), names
 
     def atom_seqcmp(self, f):
-        x = self.resolve_seq(f.xname)
-        y = self.resolve_seq(f.yname)
+        x = self.env[f.xname]
+        y = self.env[f.yname]
         form = _term_form(f.t1)
         if x is y and form == _term_form(f.t2) and min([*form[0].values(), form[1]]) >= 0:
             # One natural index on both sides: identical values.
@@ -902,7 +887,7 @@ class _Compiler:
             lambda qx, qy: _cmp_outputs(x.outputs[qx], y.outputs[qy], f.op))
 
     def atom_seqis(self, f):
-        x = self.resolve_seq(f.xname)
+        x = self.env[f.xname]
         want = f.op == "="
         return self.index_atom([((f.t,), x.transitions, x.initial)],
                                lambda q: (x.outputs[q] == f.symbol) == want)

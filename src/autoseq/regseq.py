@@ -382,17 +382,8 @@ def eps_saturate(a):
 
 def trim_nfa(a):
     """Restrict to states on some path from an initial to a final state."""
-    fwd = [set() for _ in range(a.n_states)]
-    for q in range(a.n_states):
-        for row in a.steps[q].values():
-            fwd[q].update(row)
-        fwd[q].update(a.eps[q])
-    reach = automata._reachable(a.initials, fwd.__getitem__)
-    back = [set() for _ in range(a.n_states)]
-    for q in reach:
-        for t in fwd[q]:
-            back[t].add(q)
-    useful = automata._reachable([q for q in a.finals if q in reach], back.__getitem__)
+    useful = automata._useful(a.initials, a.finals,
+                              lambda q: chain(a.eps[q], *a.steps[q].values()))
     keep = sorted(useful)
     renum = {q: i for i, q in enumerate(keep)}
     out = Nfa(a.base, a.arity, len(keep),
@@ -682,22 +673,24 @@ def _rational_view(l):
     return l._view
 
 
-def _echelon_insert(basis, vec):
-    """Reduce vec against an echelon basis [(pivot, vector)]; insert if new.
+def _echelon_insert(basis, vec, width):
+    """Reduce vec against an echelon basis [(pivot, vector)] whose pivots
+    lie among the first width entries; the one elimination routine of this
+    module.
 
-    Returns True when the vector enlarged the span.
+    Returns None when vec is new there (it joins the basis, pivoting on
+    its first nonzero entry), else its reduction, zero in those entries.
     """
     vec = list(vec)
     for pivot, b in basis:
         if vec[pivot] != 0:
             coef = vec[pivot] / b[pivot]
-            for j in range(len(vec)):
-                vec[j] -= coef * b[j]
-    for j, x in enumerate(vec):
-        if x != 0:
+            vec = [x - coef * y for x, y in zip(vec, b)]
+    for j in range(width):
+        if vec[j] != 0:
             basis.append((j, vec))
-            return True
-    return False
+            return None
+    return vec
 
 
 def _observability_basis(v, mats):
@@ -706,13 +699,15 @@ def _observability_basis(v, mats):
     basis = []
     queue = []
     v = tuple(Fraction(x) for x in v)
-    if _echelon_insert(basis, v):
+    if _echelon_insert(basis, v, len(v)) is None:
         queue.append(v)
     while queue:
         vec = queue.pop()
         for rows in mats:
+            # the queue keeps the unreduced products: reduced ones compound
+            # their rational heights
             nxt = _mat_vec(rows, vec)
-            if _echelon_insert(basis, nxt):
+            if _echelon_insert(basis, nxt, len(nxt)) is None:
                 queue.append(nxt)
     return [tuple(b) for _, b in basis]
 
@@ -774,39 +769,6 @@ class KernelSystem:
     depth: int
 
 
-def _solve_combo(columns, target):
-    """Exact rational solve of sum(coef_i * columns_i) = target, or None."""
-    if not columns:
-        return None if any(x != 0 for x in target) else []
-    rows = len(target)
-    aug = [[col[r] for col in columns] + [target[r]] for r in range(rows)]
-    ncols = len(columns)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][ncols] != 0:
-            return None
-    coeffs = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        coeffs[c] = aug[i][ncols]
-    return coeffs
-
-
 def kernel_relations(l, depth):
     """Discover an exact linear recurrence system among kernel sequences.
 
@@ -814,27 +776,32 @@ def kernel_relations(l, depth):
     breadth-first; each is either expressed exactly (over the rationals,
     verified against the full reachable observability space, not sampled)
     in terms of the independent ones found so far, or becomes a new basis
-    sequence.  The system is closed when every basis sequence has all its
-    children expressed; otherwise the result is flagged partial.
+    sequence.  One incremental echelon form holds the basis functionals,
+    each tagged with the unit vector of its basis slot; a kernel row is
+    reduced once against it, and when its functional part vanishes the
+    negated tag is its relation.  The system is closed when every basis
+    sequence has all its children expressed; otherwise the result is
+    flagged partial.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     u, mats, obasis = _rational_view(l)
     k = l.base
-    basis = []        # [(modulus, residue)]
-    basis_funcs = []  # matching functionals
+    width = len(obasis)  # no more than width functionals are independent
+    basis = []        # [(modulus, residue)], slot i tagged by unit vector i
+    echelon = []      # [(pivot, functional + tag)], pivots among the first width
     relations = []
     level = [u]       # kernel rows of modulus k^e, indexed by residue
     for e in range(depth + 1):
         modulus = k ** e
         for c, row in enumerate(level):
-            func = _functional(row, obasis)
-            combo = _solve_combo(basis_funcs, func)
-            if combo is None:
+            tag = tuple(int(i == len(basis)) for i in range(width))
+            rest = _echelon_insert(echelon, _functional(row, obasis) + tag, width)
+            if rest is None:
                 basis.append((modulus, c))
-                basis_funcs.append(func)
             else:
                 relations.append(Relation(
-                    (modulus, c),
-                    {basis[i]: combo[i] for i in range(len(basis)) if combo[i] != 0}))
+                    (modulus, c), {b: -x for b, x in zip(basis, rest[width:]) if x}))
         if e < depth:
             # row(k m, c + d m) = row(m, c) . mu(d): one product per new row
             level = [_vec_mat(row, mats[d]) for d in range(k) for row in level]
@@ -911,6 +878,9 @@ def load(text):
         raise ValueError(f"line {lineno}: header has no {exc.args[0]}= field") from None
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
+    for key, value, least in (("base", base, 2), ("rank", rank, 0)):
+        if value < least:
+            raise ValueError(f"line {lineno}: {key} must be >= {least}, got {value}")
     need = 2 + base * rank
     if len(lines) != 1 + need:
         raise ValueError(f"expected {need} data lines, got {len(lines) - 1}")

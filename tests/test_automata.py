@@ -772,8 +772,18 @@ def test_load_rejects_a_transition_from_a_missing_state():
 def test_load_rejects_a_digit_outside_the_base():
     with pytest.raises(ValueError, match="line 2: state or symbol out of range in '0 2 1 0'"):
         load("dfa base=2 arity=1 states=1 initial=0 finals=0\n0 2 1 0\n")
-    with pytest.raises(ValueError, match="base must be >= 2, got 1"):
+    with pytest.raises(ValueError, match="line 1: base must be >= 2, got 1"):
         load("dfa base=1 arity=1 states=1 initial=0 finals=0\n0 0 1 0\n")
+
+
+def test_load_rejects_a_header_out_of_bounds():
+    for header, message in (
+            ("nfa base=1 arity=1 states=1 initial=0", "base must be >= 2, got 1"),
+            ("nfa base=2 arity=-2 states=1 initial=0", "arity must be >= 0, got -2"),
+            ("nfa base=2 arity=1 states=-1 initial=", "states must be >= 0, got -1"),
+            ("dfa base=2 arity=-1 states=1 initial=0", "arity must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=f"line 1: {message}"):
+            load(f"{header} finals=\n")
 
 
 def test_load_names_the_line_of_a_non_integer_field():

@@ -194,6 +194,18 @@ def test_unbound_sequence():
         compile(parse("z[i] = 1"), ENV)
 
 
+def test_bound_sequences_must_agree_on_the_base():
+    """The whole environment agrees on one base, whether the formula reads
+    both sequences or only one of them."""
+    env = {"x": TM, "y": S3}
+    for text in ("x[i] = y[i]", "x[i] = 1 & i < n"):
+        with pytest.raises(CompileError, match=r"disagree on the base: \[2, 3\]"):
+            compile(parse(text), env)
+    for text in ("E i x[i] = y[i]", "E i x[i] = 1"):
+        with pytest.raises(CompileError, match=r"disagree on the base: \[2, 3\]"):
+            decide(parse(text), env)
+
+
 def test_resource_limit():
     cfg = CompileConfig(max_states=4)
     with pytest.raises(ResourceLimit):

@@ -1,10 +1,11 @@
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from autoseq import regseq
+from autoseq import regseq, seqgen
 from autoseq.analyses import measure
 from autoseq.automata import Dfa, Nfa, StateLimit, is_empty, minimize, permute_tracks
 from autoseq.logic import CompileConfig, ResourceLimit, parse, compile as compile_formula
@@ -20,6 +21,7 @@ from autoseq.seqgen import Dfao, prefix, thue_morse
 
 TM = thue_morse()
 ENV = {"x": TM}
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
 
 def words(k, maxlen):
@@ -577,6 +579,31 @@ def test_kernel_relations_unbordered_count_pinned():
         "f(16n+15) = - 8*f(4n) + 2*f(4n+3) + 4*f(8n) + f(8n+7)"
 
 
+@pytest.mark.parametrize("name, n_basis, n_relations", [
+    ("pf", 16, 111), ("rs", 22, 105)])
+def test_kernel_relations_at_depth_6_hold_on_evaluated_values(name, n_basis, n_relations):
+    """Depth-6 systems of the unbordered count on the corpus's paperfolding
+    and Rudin-Shapiro words; every relation is checked against values from
+    LinRep.evaluate for n < 200, which shares nothing with the elimination."""
+    x = seqgen.load((CORPUS / f"{name}.dfao").read_text())
+    rep = measure(x, "unbordered-count")
+    ks = kernel_relations(rep, 6)
+    assert (len(ks.basis), len(ks.relations), ks.closed) == (n_basis, n_relations, True)
+    top = max(m * 199 + c for m, c in ks.basis + [r.lhs for r in ks.relations])
+    f = [rep.evaluate(n) for n in range(top + 1)]
+    for rel in ks.relations:
+        (m, c), combo = rel.lhs, rel.combo
+        assert all(isinstance(coef, Fraction) for coef in combo.values()), rel
+        for n in range(200):
+            assert f[m * n + c] == sum(coef * f[mm * n + cc]
+                                       for (mm, cc), coef in combo.items()), (str(rel), n)
+
+
+def test_kernel_relations_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+        kernel_relations(measure(TM, "unbordered-count"), -1)
+
+
 def test_rational_view_built_once_per_series(monkeypatch):
     calls = []
     original = regseq.normalize_trailing
@@ -637,8 +664,13 @@ def test_load_rejects_a_header_without_rank():
 
 
 def test_load_rejects_a_base_below_2():
-    with pytest.raises(ValueError, match="base must be >= 2, got 0"):
+    with pytest.raises(ValueError, match="line 1: base must be >= 2, got 0"):
         load("linrep semiring=nat base=0 rank=1\n1\n1\n")
+
+
+def test_load_rejects_a_negative_rank_on_the_header_line():
+    with pytest.raises(ValueError, match="line 1: rank must be >= 0, got -1"):
+        load("linrep semiring=nat base=2 rank=-1\n1\n1\n")
 
 
 def test_load_names_the_line_of_a_malformed_entry():
