@@ -546,9 +546,12 @@ def parse(text):
 # Compilation
 
 class CompileConfig:
-    """Shared compilation limits and statistics.
+    """Shared compilation limits, statistics and eliminated blocks.
 
-    default_base applies to formulas that never index a sequence.
+    default_base applies to formulas that never index a sequence.  The
+    config remembers every quantifier block it eliminated (blocks), so an
+    equal block met again in the same analysis is not rebuilt; a new
+    config per analysis releases them.
     """
 
     def __init__(self, max_states=2_000_000, default_base=2):
@@ -558,6 +561,7 @@ class CompileConfig:
         self.default_base = default_base
         self.peak_states = 0
         self.operations = 0
+        self.blocks = {}  # (body, mirrored, drop, mirror) -> (result, mirrored)
 
     def note(self, dfa):
         self.operations += 1
@@ -716,10 +720,27 @@ class _Compiler:
         if isinstance(value, bool):
             return value
         dfa, vars_ = value
-        drop = {vars_.index(v) for v in set(names) if v in vars_}
-        if len(drop) == len(vars_):  # a language is empty iff its reversal is
+        drop = tuple(i for i, v in enumerate(vars_) if v in names)
+        # A block's result depends on this key alone, not on the env or the
+        # variable names, so alpha-variant blocks are eliminated once per
+        # config (hash-consing, as a BDD package's unique table).  A hit
+        # notes nothing: its first construction was noted in this config.
+        key = dfa, isinstance(value, _Mirror), drop, mirror
+        hit = self.cfg.blocks.get(key)
+        if hit is None:
+            hit = self.cfg.blocks[key] = self.eliminate(*key)
+        out, mirrored = hit
+        if isinstance(out, bool):
+            return out
+        kept = tuple(v for i, v in enumerate(vars_) if i not in drop)
+        return _Mirror((out, kept)) if mirrored else (out, kept)
+
+    def eliminate(self, dfa, mirrored, drop, mirror):
+        """(result, whether it is a mirror) of a block dropping the tracks
+        drop of dfa, which is its body's mirror when mirrored."""
+        if len(drop) == dfa.arity:  # a language is empty iff its reversal is
             empty, _ = is_empty(dfa)
-            return not empty
+            return not empty, False
         # Brzozowski: determinizing the reversal of a reachable DFA gives the
         # minimal DFA of the reversed language, in minimize's numbering (FIFO,
         # symbols in lex order); the forward construction blows up here.  The
@@ -732,21 +753,19 @@ class _Compiler:
         # with its start closed along symbol 0, since in the mirror trailing
         # zeros lead (0^j·w).  minimize makes both routes' mirrors the same.
         if drop:
-            if isinstance(value, _Mirror):
+            if mirrored:
                 nfa = project_many(dfa, drop)
                 nfa.initials = dict.fromkeys(automata._reachable(
                     nfa.initials, lambda q: nfa.steps[q].get(0, ())), 1)
                 body = self.cfg.build(determinize, nfa)
             else:
                 body = self.cfg.build(determinize_reverse, dfa, drop, pad=True)
-            dfa = minimize(self.cfg.note(body))
-            vars_ = tuple(w for i, w in enumerate(vars_) if i not in drop)
-            value = _Mirror((dfa, vars_))
-        if mirror or not isinstance(value, _Mirror):
-            return value
+            dfa, mirrored = minimize(self.cfg.note(body)), True
+        if mirror or not mirrored:
+            return dfa, mirrored
         # The second reversal drops no track and needs no minimize: it is
         # already the minimal DFA of the forward language.
-        return self.cfg.note(self.cfg.build(determinize_reverse, dfa)), vars_
+        return self.cfg.note(self.cfg.build(determinize_reverse, dfa)), False
 
     def negate(self, value):
         if isinstance(value, bool):

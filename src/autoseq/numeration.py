@@ -93,11 +93,6 @@ def encode_tuple(values, k):
     return DigitWord(k, len(values), symbols)
 
 
-def decode_tuple(w):
-    """Tuple of values encoded on the tracks of w."""
-    return tuple(decode_lsd(project_track(w, t)) for t in range(w.arity))
-
-
 def project_track(w, track):
     """Extract one coordinate track of a word, keeping its length."""
     if not 0 <= track < w.arity:

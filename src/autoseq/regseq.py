@@ -475,51 +475,6 @@ def decompose_infinity(l, limit=1_000_000, note=None):
     return InfDecomposition(locus, finite)
 
 
-def _char_rep(dfa):
-    """0/1 linear representation of a DFA's characteristic series."""
-    n = dfa.n_states
-    u = tuple(1 if q == dfa.initial else 0 for q in range(n))
-    v = tuple(1 if q in dfa.finals else 0 for q in range(n))
-    rows = [[((dfa.transitions[q][d], 1),) for q in range(n)] for d in range(dfa.base)]
-    return LinRep._from_rows("nat", dfa.base, u, rows, v)
-
-
-def _hadamard(a, b):
-    """Tensor-product representation of the pointwise product of two series."""
-    if a.base != b.base:
-        raise ValueError("base mismatch")
-    ra, rb = a.rank, b.rank
-    u = tuple(a.u[i] * b.u[j] for i in range(ra) for j in range(rb))
-    v = tuple(a.v[i] * b.v[j] for i in range(ra) for j in range(rb))
-    # nonzero entries of both semirings have nonzero products
-    rows = [[[(x * rb + y, p * q) for x, p in row_a for y, q in row_b]
-             for row_a in rows_a for row_b in rows_b]
-            for rows_a, rows_b in zip(a._rows, b._rows)]
-    return LinRep._from_rows(a.semiring if a.semiring != "nat" else b.semiring,
-                             a.base, u, rows, v)
-
-
-def push_infinity_to_u(l):
-    """Value-equal representation whose infinity entries all sit in u.
-
-    Uses the locus decomposition: the finite part is masked by the
-    complement of the locus via a tensor product, and the locus itself is
-    re-added as a characteristic block scaled by infinity in u.
-    """
-    dec = decompose_infinity(l)
-    locus = dec.infinite_part
-    masked = _hadamard(_char_rep(automata.complement(locus)), dec.finite_part)
-    chi = _char_rep(locus)
-    u = masked.u + tuple(INF if x == 1 else 0 for x in chi.u)
-    v = masked.v + chi.v
-    ra = masked.rank
-    rows = [rows_a + tuple(tuple((ra + j, x) for j, x in row) for row in rows_b)
-            for rows_a, rows_b in zip(masked._rows, chi._rows)]
-    out = LinRep._from_rows("natinf", l.base, u, rows, v)
-    out.inf_part = dec
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Counting pipelines
 
@@ -881,7 +836,7 @@ def load(text):
     for key, value, least in (("base", base, 2), ("rank", rank, 0)):
         if value < least:
             raise ValueError(f"line {lineno}: {key} must be >= {least}, got {value}")
-    need = 2 + base * rank
+    need = 2 + base * rank if rank else 0  # store writes blank lines at rank 0
     if len(lines) != 1 + need:
         raise ValueError(f"expected {need} data lines, got {len(lines) - 1}")
     rows = []
@@ -892,11 +847,6 @@ def load(text):
             raise ValueError(f"line {lineno}: {exc} in {ln!r}") from None
         if len(rows[-1]) != rank:
             raise ValueError(f"line {lineno}: row width disagrees with the declared rank")
-    u = rows[0]
-    mats = []
-    at = 1
-    for _ in range(base):
-        mats.append(rows[at:at + rank])
-        at += rank
-    v = rows[at]
+    u, v = (rows[0], rows[-1]) if rank else ((), ())
+    mats = [rows[1 + d * rank:1 + (d + 1) * rank] for d in range(base)]
     return LinRep(semiring, base, u, mats, v)

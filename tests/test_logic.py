@@ -1,9 +1,10 @@
 import itertools
+import pathlib
 import random
 
 import pytest
 
-from autoseq import automata, logic
+from autoseq import analyses, automata, logic, seqgen
 from autoseq.automata import (Dfa, complement, determinize, equivalent, inflate,
                               minimize, pad_closure, product, project_many)
 from autoseq.logic import (Add, And, Call, CompileConfig, CompileError, Const,
@@ -475,3 +476,108 @@ def test_index_atoms_match_the_fresh_witness_route(k, x, y):
             assert _over(got, want, k) == _over(ref, want, k), f
         else:
             assert got is ref, f
+
+
+# -- the config's table of eliminated quantifier blocks ----------------------
+
+RS = seqgen.load((pathlib.Path(__file__).resolve().parents[1]
+                  / "bench" / "corpus" / "rs.dfao").read_text())
+# 1 at the powers of 2: not recurrent, so its factor 11 occurs only once
+POW2 = Dfao(2, [[0, 1], [1, 2], [2, 2]], 0, [0, 1, 0])
+
+
+class _Forgetful(dict):
+    """A block table emptied before every lookup: every block is built."""
+
+    def get(self, key, default=None):
+        self.clear()
+        return default
+
+
+def _forgetful_config():
+    cfg = CompileConfig()
+    cfg.blocks = _Forgetful()
+    return cfg
+
+
+@pytest.fixture
+def reversals(monkeypatch):
+    """The determinize_reverse calls logic makes, one entry per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return automata.determinize_reverse(*args, **kwargs)
+
+    monkeypatch.setattr(logic, "determinize_reverse", counting)
+    return calls
+
+
+def test_alpha_variant_blocks_are_eliminated_once(reversals):
+    first = "A t (t < n) => (x[j+t] = x[i+t])"
+    second = "A s (s < n) => (x[m+s] = x[i+s])"
+    cfg = CompileConfig()
+    both = compile(parse(f"({first}) & ({second})"), ENV, cfg)
+    assert len(reversals) == 2  # one block's two reversals
+    reversals.clear()
+    assert both == compile(parse(f"({first}) & ({second})"), ENV, _forgetful_config())
+    assert len(reversals) == 4
+    # the hit answers over the caller's own tracks (i, m, n)
+    reversals.clear()
+    hit = compile(parse(second), ENV, cfg)
+    assert not reversals
+    assert hit == compile(parse(second), ENV, CompileConfig())
+    for i, m, n in itertools.product(range(12), repeat=3):
+        want = TMVALS[m:m + n] == TMVALS[i:i + n]
+        assert hit.accepts_values((i, m, n)) == want, (i, m, n)
+
+
+def test_a_block_key_tells_orientation_permission_and_dropped_tracks():
+    body = logic._Compiler(ENV, CompileConfig()).compile(parse("(3*i < n) & (x[i+n] = 1)"))
+    assert body[1] == ("i", "n")
+    # the same body dfa read forward and as a mirror, under both permissions,
+    # dropping either track
+    calls = [(drop, value, mirror) for drop in (["i"], ["n"])
+             for value in (body, logic._Mirror(body)) for mirror in (False, True)]
+    fresh = [logic._Compiler(ENV, CompileConfig()).exists_many(*c) for c in calls]
+    assert len({(type(v), v[0]) for v in fresh}) == len(calls)  # all distinct
+    for order in (range(len(calls)), reversed(range(len(calls)))):
+        shared = logic._Compiler(ENV, CompileConfig())
+        got = {i: shared.exists_many(*calls[i]) for i in order}
+        for i, want in enumerate(fresh):
+            assert type(got[i]) is type(want) and got[i] == want, calls[i]
+
+
+def test_separate_configs_share_no_block(reversals):
+    f = parse("E i A t (t < n) => x[i+t] = x[i+n+t]")
+    one, two = CompileConfig(), CompileConfig()
+    compile(f, ENV, one)
+    built = len(reversals)
+    assert built and one.blocks
+    assert compile(f, ENV, two) == compile(f, ENV, one)
+    assert len(reversals) == 2 * built
+    assert two.blocks == one.blocks and two.blocks is not one.blocks
+
+
+@pytest.mark.parametrize("seq", [TM, RS, POW2], ids=["tm", "rs", "pow2"])
+def test_block_table_keeps_every_result(seq, reversals):
+    text = analyses._measure_formula("recurrent-factor-count", None)[0]
+    cfg = CompileConfig()
+    got = compile(parse(text), {"x": seq}, cfg)
+    built = len(reversals)
+    reversals.clear()
+    ref = _forgetful_config()
+    assert got == compile(parse(text), {"x": seq}, ref)
+    assert built < len(reversals)
+    assert cfg.peak_states == ref.peak_states
+
+
+def test_block_table_keeps_factor_set_compare(reversals):
+    cfg = CompileConfig()
+    got = analyses.factor_set_compare(TM, RS, cfg)
+    built = len(reversals)
+    reversals.clear()
+    ref = _forgetful_config()
+    assert got == analyses.factor_set_compare(TM, RS, ref)
+    assert built < len(reversals)
+    assert cfg.peak_states == ref.peak_states

@@ -1,7 +1,12 @@
 import pytest
 
-from autoseq.numeration import (DigitWord, decode_lsd, decode_tuple,
-                                encode_lsd, encode_tuple, project_track)
+from autoseq.numeration import (DigitWord, decode_lsd, encode_lsd, encode_tuple,
+                                project_track)
+
+
+def decode_tuple(w):
+    """Tuple of values encoded on the tracks of w (test reference)."""
+    return tuple(decode_lsd(project_track(w, t)) for t in range(w.arity))
 
 
 def test_encode_examples():

@@ -7,15 +7,15 @@ import pytest
 
 from autoseq import regseq, seqgen
 from autoseq.analyses import measure
-from autoseq.automata import Dfa, Nfa, StateLimit, is_empty, minimize, permute_tracks
+from autoseq.automata import (Dfa, Nfa, StateLimit, complement, is_empty, minimize,
+                              permute_tracks)
 from autoseq.logic import CompileConfig, ResourceLimit, parse, compile as compile_formula
 from autoseq.numeration import DigitWord, encode_lsd
 from autoseq.regseq import (INF, InfDecomposition, LinRep, count_measure,
                             count_parameter, decompose_infinity, eps_saturate,
                             kernel_relations, linrep_from_nfa, load,
                             nfa_from_linrep, normalize_leading,
-                            normalize_trailing, push_infinity_to_u,
-                            representation_count, reverse_series, store,
+                            normalize_trailing, representation_count, reverse_series, store,
                             trim_nfa, verify_relation, zero_rep)
 from autoseq.seqgen import Dfao, prefix, thue_morse
 
@@ -239,6 +239,49 @@ def test_sparse_evaluation_matches_dense_reference():
     assert seen == {"nat", "natinf", "rat"}
 
 
+def char_rep(dfa):
+    """0/1 linear representation of a DFA's characteristic series."""
+    n = dfa.n_states
+    u = tuple(1 if q == dfa.initial else 0 for q in range(n))
+    v = tuple(1 if q in dfa.finals else 0 for q in range(n))
+    rows = [[((dfa.transitions[q][d], 1),) for q in range(n)] for d in range(dfa.base)]
+    return LinRep._from_rows("nat", dfa.base, u, rows, v)
+
+
+def hadamard(a, b):
+    """Tensor-product representation of the pointwise product of two series."""
+    ra, rb = a.rank, b.rank
+    u = tuple(a.u[i] * b.u[j] for i in range(ra) for j in range(rb))
+    v = tuple(a.v[i] * b.v[j] for i in range(ra) for j in range(rb))
+    # nonzero entries of both semirings have nonzero products
+    rows = [[[(x * rb + y, p * q) for x, p in row_a for y, q in row_b]
+             for row_a in rows_a for row_b in rows_b]
+            for rows_a, rows_b in zip(a._rows, b._rows)]
+    return LinRep._from_rows(a.semiring if a.semiring != "nat" else b.semiring,
+                             a.base, u, rows, v)
+
+
+def push_infinity_to_u(l):
+    """Value-equal representation whose infinity entries all sit in u.
+
+    Uses the locus decomposition: the finite part is masked by the
+    complement of the locus via a tensor product, and the locus itself is
+    re-added as a characteristic block scaled by infinity in u.
+    """
+    dec = decompose_infinity(l)
+    locus = dec.infinite_part
+    masked = hadamard(char_rep(complement(locus)), dec.finite_part)
+    chi = char_rep(locus)
+    u = masked.u + tuple(INF if x == 1 else 0 for x in chi.u)
+    v = masked.v + chi.v
+    ra = masked.rank
+    rows = [rows_a + tuple(tuple((ra + j, x) for j, x in row) for row in rows_b)
+            for rows_a, rows_b in zip(masked._rows, chi._rows)]
+    out = LinRep._from_rows("natinf", l.base, u, rows, v)
+    out.inf_part = dec
+    return out
+
+
 def test_rows_built_producers_store_the_canonical_form():
     """Producers that build sparse rows directly must store what the public
     constructor derives (columns ascending, no zero entries), or __eq__ and
@@ -255,12 +298,12 @@ def test_rows_built_producers_store_the_canonical_form():
         natinf = rand_natinf(rng, k, rank)
         for l in (nat, natinf, rand_rat(rng, k, rank)):
             for g in (regseq._rank_pad(l), reverse_series(l), normalize_leading(l),
-                      normalize_trailing(l), regseq._hadamard(l, l)):
+                      normalize_trailing(l), hadamard(l, l)):
                 canonical(g)
         for l in (nat, natinf):
             dec = decompose_infinity(l)
             canonical(dec.finite_part)
-            canonical(regseq._char_rep(dec.infinite_part))
+            canonical(char_rep(dec.infinite_part))
             canonical(push_infinity_to_u(l))
         canonical(linrep_from_nfa(nfa_from_linrep(nat)))
         canonical(linrep_from_nfa(eps_saturate(rand_nfa(rng, k, rank + 2, eps_p=0.3))))
@@ -656,6 +699,17 @@ def test_store_load_roundtrip():
                   (((Fraction(0), 1), (2, Fraction(5, 7))), ((1, 0), (0, 1))),
                   (1, Fraction(2, 3)))
     assert load(store(lrat)) == lrat
+
+
+@pytest.mark.parametrize("semiring", ["nat", "natinf"])
+@pytest.mark.parametrize("base", [2, 3])
+def test_store_load_roundtrip_at_rank_0_and_1(semiring, base):
+    top = INF if semiring == "natinf" else 2
+    for l in (LinRep(semiring, base, (), ((),) * base, ()),
+              LinRep(semiring, base, (1,), tuple(((d % 2,),) for d in range(base)), (top,))):
+        assert load(store(l)) == l
+    with pytest.raises(ValueError, match="expected 0 data lines, got 1"):
+        load(f"linrep semiring={semiring} base={base} rank=0\n1\n")
 
 
 def test_load_rejects_a_header_without_rank():
