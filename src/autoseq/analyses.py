@@ -264,13 +264,9 @@ def has_unbounded_exponent(x, config=None):
     zero_succ = {q: [dfa.transitions[q][s] for s in g0] for q in reach}
     # States with a zero-second-track path ending in a final via a nonzero
     # first digit.
-    pre = {q: [] for q in reach}
-    for q, targets in zero_succ.items():
-        for t in targets:
-            pre[t].append(q)
-    closed = automata._reachable(
-        [q for q in reach if any(dfa.transitions[q][s] in dfa.finals for s in last)],
-        pre.__getitem__)
+    closed = automata._useful(
+        reach, [q for q in reach if any(dfa.transitions[q][s] in dfa.finals for s in last)],
+        zero_succ.__getitem__)
     # A cycle inside the zero-second-track subgraph through such a state.
     return any(automata._cyclic(comp, zero_succ.__getitem__) and not closed.isdisjoint(comp)
                for comp in automata._sccs(reach, zero_succ.__getitem__))

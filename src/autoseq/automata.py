@@ -21,8 +21,8 @@ class StateLimit(RuntimeError):
 
 _ALPHABETS = {}
 _TRACK_MAPS = {}
-# Bit positions set in each byte value: _members and the subset
-# construction's byte memo read a mask a byte at a time.
+# Bit positions set in each byte value: the subset construction's byte memo
+# reads a mask a byte at a time.
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
@@ -291,20 +291,15 @@ def _mask(states):
     return m
 
 
-def _members(mask):
-    """Set bits of mask, in increasing order."""
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    return [8 * i + bit for i, byte in enumerate(data) if byte for bit in _BYTE_BITS[byte]]
-
-
-def _subsets(base, arity, packed, start, final_mask, limit):
+def _subsets(base, arity, packed, start, final_mask, limit, pad=False):
     """Subset construction over packed rows, the one kernel behind
     determinize and determinize_reverse.
 
     A subset is a bitmask over the n source states.  packed[q] holds q's
     successor sets for every symbol at once, symbol s in bits
     [s*n, (s+1)*n), so the row of a subset is the OR of its members' rows,
-    after which one shift and mask per symbol splits it.
+    after which one shift and mask per symbol splits it.  With pad the
+    start is first closed along symbol 0 (the low n bits of each row).
 
     The OR goes a byte of the subset at a time (the method of Four
     Russians, with its table built lazily): chunk i of 8 states keeps a
@@ -334,13 +329,18 @@ def _subsets(base, arity, packed, start, final_mask, limit):
                 acc |= row
         return [acc >> sh & full for sh in shifts]
 
+    if pad:
+        while (closed := start | successors(start)[0]) != start:
+            start = closed
     subsets, rows = _explore(start, successors, limit)
     return Dfa._from_rows(base, arity, rows, 0,
                           {i for i, subset in enumerate(subsets) if subset & final_mask})
 
 
-def determinize(a, limit=None):
-    """Subset construction; multiplicities collapse to plain membership."""
+def determinize(a, limit=None, *, pad=False):
+    """Subset construction; multiplicities collapse to plain membership.
+    With pad the start subset is closed along symbol 0: w is accepted when
+    some 0^j·w is, since a mirror's leading zeros are trailing zeros."""
     if a.has_eps():
         raise ValueError("determinize requires an epsilon-free NFA")
     n = a.n_states
@@ -348,7 +348,7 @@ def determinize(a, limit=None):
     for q, steps in enumerate(a.steps):
         for s, targets in steps.items():
             packed[q] |= _mask(targets) << s * n
-    return _subsets(a.base, a.arity, packed, _mask(a.initials), _mask(a.finals), limit)
+    return _subsets(a.base, a.arity, packed, _mask(a.initials), _mask(a.finals), limit, pad)
 
 
 def determinize_reverse(a, drop=(), pad=False, limit=None):
@@ -375,13 +375,10 @@ def determinize_reverse(a, drop=(), pad=False, limit=None):
         masks = pre[s]
         for bit, t in zip(bits, col):
             masks[t] |= bit
-    starts = a.finals
-    if pad:
-        starts = _reachable(starts, lambda t: _members(pre[0][t]))
     packed = pre.pop()
     while pre:  # last symbol first, freeing each symbol's masks once packed
         packed = [row << n | m for row, m in zip(packed, pre.pop())]
-    return _subsets(a.base, len(keep), packed, _mask(starts), bits[a.initial], limit)
+    return _subsets(a.base, len(keep), packed, _mask(a.finals), bits[a.initial], limit, pad)
 
 
 def complement(a):
@@ -393,8 +390,9 @@ def complement(a):
 _BOOL_OPS = {
     "and": lambda x, y: x and y,
     "or": lambda x, y: x or y,
-    "and-not": lambda x, y: x and not y,
+    "implies": lambda x, y: not x or y,
     "xor": lambda x, y: x != y,
+    "iff": lambda x, y: x == y,
 }
 
 

@@ -50,8 +50,8 @@ class Session:
             raise UsageError(f"bound sequences disagree on the base: {sorted(bases)}")
         try:
             self.config = logic.CompileConfig(max_states=max_states, default_base=base)
-        except ValueError as exc:
-            raise UsageError(f"--base: {exc}") from None
+        except ValueError as exc:  # CompileConfig checks max_states first
+            raise UsageError(f"{'--max-states' if max_states < 1 else '--base'}: {exc}") from None
 
     def env_for(self, formula):
         names = logic.sequence_names(formula)
@@ -75,6 +75,15 @@ def _parse_range(text):
     if min(lo, hi) < 0:
         raise UsageError(f"bad range {text!r}; indices start at 0")
     return range(lo, hi + 1)
+
+
+def _write(path, text):
+    """Write text to path; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _measure(session, x, args, y=None):
@@ -114,8 +123,7 @@ def cmd_characteristic(args):
     indices = _parse_range(args.range)
     dfao = logic.characteristic(formula, env, session.config)
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(seqgen.store(dfao))
+        _write(args.export, seqgen.store(dfao))
         print(f"wrote {args.export} ({dfao.n_states} states)")
     for n in indices:
         print(n, dfao.evaluate(n))
@@ -131,13 +139,11 @@ def cmd_measure(args):
     for n in indices:
         print(n, rep.evaluate(n))
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(regseq.store(rep))
+        _write(args.export, regseq.store(rep))
         print(f"wrote {args.export} (rank {rep.rank}, {rep.semiring})")
         if rep.inf_part is not None:
             path = args.export + ".infpart"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(automata.store(rep.inf_part.infinite_part))
+            _write(path, automata.store(rep.inf_part.infinite_part))
             print(f"wrote {path} (infinity locus)")
     return EXIT_OK
 
@@ -232,8 +238,7 @@ def cmd_export_automaton(args):
     dfa = logic.compile(formula, env, session.config)
     text = automata.store(dfa)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"wrote {args.out} ({dfa.n_states} states, arity {dfa.arity})")
     else:
         sys.stdout.write(text)

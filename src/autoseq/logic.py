@@ -29,6 +29,7 @@ to the automaton that reads it, and needs no quantified witness (lsd-first
 addition is deterministic; Bruyere, Hansel, Michaux and Villemaire 1994).
 """
 
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -272,6 +273,10 @@ _TOKEN_RE = re.compile(r"""
     )""", re.VERBOSE)
 
 _RELOP_CANON = {"≤": "<=", "≥": ">=", "≠": "!="}
+_CMP_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# a op b holds exactly when b _FLIPPED[op] a does
+_FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _tokenize(text):
@@ -333,8 +338,8 @@ class _Parser:
         while self.peek()[1] == ",":
             self.next()
             names.append(self.ident())
-        for name in names:
-            if name in self.scope:
+        for i, name in enumerate(names):
+            if name in self.scope or name in names[:i]:
                 raise ParseError(f"variable {name!r} shadows an enclosing quantifier", pos)
         bound = None
         if self.peek()[1] in ("<", "<="):
@@ -435,8 +440,7 @@ class _Parser:
         right_seq = self.try_seqindex()
         if right_seq is not None:
             name, idx = right_seq
-            flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}[op]
-            return self.seq_atom_vs_term(name, idx, flipped, left, pos)
+            return self.seq_atom_vs_term(name, idx, _FLIPPED[op], left, pos)
         right = self.term()
         return self.compare_atom(left, op, right, pos)
 
@@ -555,6 +559,8 @@ class CompileConfig:
     """
 
     def __init__(self, max_states=2_000_000, default_base=2):
+        if max_states < 1:
+            raise ValueError(f"max_states must be >= 1, got {max_states}")
         if default_base < 2:
             raise ValueError(f"base must be >= 2, got {default_base}")
         self.max_states = max_states
@@ -662,27 +668,20 @@ def _feed_carries(k, table, q, gs):
 
 
 def _cmp_outputs(a, b, op):
+    if op not in _CMP_OPS:
+        raise CompileError(f"unknown comparison operator {op!r}")
     try:
-        if op == "=":
-            return a == b
-        if op == "!=":
-            return a != b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
+        return _CMP_OPS[op](a, b)
     except TypeError:
         raise CompileError(f"output symbols {a!r} and {b!r} are not comparable") from None
-    raise CompileError(f"unknown comparison operator {op!r}")
 
 
 class _Mirror(tuple):
     """(dfa, vars) whose dfa is minimal and accepts the reversal of the
     value's language."""
+
+
+_CONNECTIVES = {And: "and", Or: "or", Implies: "implies", Iff: "iff"}
 
 
 class _Compiler:
@@ -754,10 +753,7 @@ class _Compiler:
         # zeros lead (0^j·w).  minimize makes both routes' mirrors the same.
         if drop:
             if mirrored:
-                nfa = project_many(dfa, drop)
-                nfa.initials = dict.fromkeys(automata._reachable(
-                    nfa.initials, lambda q: nfa.steps[q].get(0, ())), 1)
-                body = self.cfg.build(determinize, nfa)
+                body = self.cfg.build(determinize, project_many(dfa, drop), pad=True)
             else:
                 body = self.cfg.build(determinize_reverse, dfa, drop, pad=True)
             dfa, mirrored = minimize(self.cfg.note(body)), True
@@ -789,46 +785,8 @@ class _Compiler:
             return self.atom_call(f)
         if isinstance(f, Not):
             return self.negate(self.compile(f.body, mirror))
-        if isinstance(f, And):
-            a = self.compile(f.left)
-            if a is False:
-                return False
-            b = self.compile(f.right)
-            if isinstance(a, bool):
-                return b if a else False
-            if isinstance(b, bool):
-                return a if b else False
-            return self.combine(*a, *b, "and")
-        if isinstance(f, Or):
-            a = self.compile(f.left)
-            if a is True:
-                return True
-            b = self.compile(f.right)
-            if isinstance(a, bool):
-                return True if a else b
-            if isinstance(b, bool):
-                return True if b else a
-            return self.combine(*a, *b, "or")
-        if isinstance(f, Implies):
-            a = self.compile(f.left)
-            if a is False:
-                return True
-            b = self.compile(f.right)
-            if isinstance(a, bool):
-                return b
-            if isinstance(b, bool):
-                return True if b else self.negate(a)
-            dfa, vars_ = self.combine(*a, *b, "and-not")
-            return complement(dfa), vars_
-        if isinstance(f, Iff):
-            a = self.compile(f.left)
-            b = self.compile(f.right)
-            if isinstance(a, bool):
-                return b if a else self.negate(b)
-            if isinstance(b, bool):
-                return a if b else self.negate(a)
-            dfa, vars_ = self.combine(*a, *b, "xor")
-            return complement(dfa), vars_
+        if type(f) in _CONNECTIVES:
+            return self.connective(f, _CONNECTIVES[type(f)])
         if isinstance(f, Exists):
             names, body = _leading_block(f, Exists)
             return self.exists_many(names, self.compile(body, True), mirror)
@@ -838,28 +796,36 @@ class _Compiler:
                                                 mirror))
         raise TypeError(f"not a formula node: {f!r}")
 
+    def connective(self, f, op):
+        """f.left op f.right for the truth table op of automata._BOOL_OPS.  A
+        bool side leaves a constant, the other side or its negation; a left
+        side that fixes the result leaves the right side uncompiled."""
+        table = automata._BOOL_OPS[op]
+        a = self.compile(f.left)
+        if isinstance(a, bool) and table(a, False) == table(a, True):
+            return table(a, True)
+        b = self.compile(f.right)
+        if isinstance(a, bool):
+            return b if table(a, True) else self.negate(b)
+        if not isinstance(b, bool):
+            return self.combine(*a, *b, op)
+        if table(False, b) == table(True, b):
+            return table(True, b)
+        return a if table(True, b) else self.negate(a)
+
     def atom_compare(self, f):
-        form = _form_add(_term_form(f.left), _form_scale(_term_form(f.right), -1))
-        coeffs, const = form
-        op = f.op
+        left, op, right = f.left, f.op, f.right
         if op in (">", ">="):
-            coeffs = {v: -c for v, c in coeffs.items()}
-            const = -const
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
+            left, op, right = right, _FLIPPED[op], left
+        coeffs, const = _form_add(_term_form(left), _form_scale(_term_form(right), -1))
         if not coeffs:
-            return {"=": const == 0, "!=": const != 0,
-                    "<": const < 0, "<=": const <= 0}[op]
+            return _CMP_OPS[op](const, 0)
         k = self.need_base()
-        if op == "=":
+        if op in ("=", "!="):
             dfa, names = _linear_atom(k, coeffs, const, "eq", self.cfg)
-            return dfa, names
-        if op == "!=":
-            dfa, names = _linear_atom(k, coeffs, const, "eq", self.cfg)
-            return complement(dfa), names
-        if op == "<":
-            const += 1
-        dfa, names = _linear_atom(k, coeffs, const, "le", self.cfg)
-        return dfa, names
+            return (dfa if op == "=" else complement(dfa)), names
+        # over the integers, sum < 0 is sum + 1 <= 0
+        return _linear_atom(k, coeffs, const + (op == "<"), "le", self.cfg)
 
     def index_atom(self, readers, accept):
         """Atom on the values read at signed linear index terms.

@@ -292,6 +292,7 @@ def test_projecting_a_mirror_forward_matches_the_double_reversal():
                 except StateLimit:
                     pass
             for m, drop, nfa, got in cases:
+                assert determinize(project_many(m, drop), pad=True) == got
                 forward = automata.determinize_reverse(m)
                 want = minimize(automata.determinize_reverse(forward, drop, pad=True))
                 assert minimize(got) == want, (rows, a.initial, a.finals, m == mirror, drop)

@@ -184,6 +184,31 @@ def test_a_base_below_2_exits_2(capsys):
     assert code == 0 and out.startswith("TRUE")
 
 
+def test_a_max_states_below_1_exits_2(capsys):
+    for limit in ("0", "-5"):
+        code, out, err = run(capsys, "--max-states", limit, "decide", "E n n = 1")
+        assert code == 2 and out == "", limit
+        assert err.startswith("error: --max-states:") and "max_states must be >= 1" in err, err
+
+
+def test_a_name_repeated_in_one_quantifier_list_exits_2(capsys):
+    for text in ("E n,n n=1", "A n,n n=1"):
+        code, out, err = run(capsys, "decide", text)
+        assert code == 2 and out == "", text
+        assert err.startswith("error:") and "shadows" in err, err
+
+
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x")
+    for argv in (["characteristic", "E q n = 2*q", "0..3", "--export", path],
+                 ["measure", "subword-complexity", "tm", "1..4", "--export", path],
+                 ["export-automaton", "E q n = 2*q", "--out", path]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith(f"error: cannot write {path}"), err
+        assert "Traceback" not in err
+
+
 def test_negative_numbers_exit_2(capsys):
     for argv in (["measure", "subword-complexity", "tm", "--", "-1..3"],
                  ["characteristic", "E j tm[j]=1 & j=n", "--", "-2..1"],

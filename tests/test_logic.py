@@ -8,9 +8,9 @@ from autoseq import analyses, automata, logic, seqgen
 from autoseq.automata import (Dfa, complement, determinize, equivalent, inflate,
                               minimize, pad_closure, product, project_many)
 from autoseq.logic import (Add, And, Call, CompileConfig, CompileError, Const,
-                           Exists, Forall, Mul, Not, ParseError, ResourceLimit,
-                           SeqCmp, SeqIs, Var, characteristic, compile, decide,
-                           free_variables, parse)
+                           Exists, Forall, Iff, Implies, Mul, Not, Or, ParseError,
+                           ResourceLimit, SeqCmp, SeqIs, Var, characteristic, compile,
+                           decide, free_variables, parse)
 from autoseq.oracle import PrefixContext, brute
 from autoseq.seqgen import Dfao, prefix, thue_morse
 
@@ -37,6 +37,9 @@ def test_parse_shapes():
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse("E n E n n = n")  # shadowing
+    for text in ("E n,n n = 1", "A n,n n = 1", "E m, n, m m = n"):
+        with pytest.raises(ParseError, match="shadows"):
+            parse(text)  # a name repeated in one quantifier list
     with pytest.raises(ParseError):
         parse("x[i] + 1 = 2")  # sequence value in arithmetic
     with pytest.raises(ParseError):
@@ -223,6 +226,13 @@ def test_a_default_base_below_2_is_refused():
         assert decide(parse("E n n=1"), {}, CompileConfig(default_base=base)).value
 
 
+def test_a_max_states_below_1_is_refused():
+    for limit in (0, -5):
+        with pytest.raises(ValueError, match="max_states must be >= 1"):
+            CompileConfig(max_states=limit)
+    assert CompileConfig(max_states=1).max_states == 1
+
+
 def test_index_atom_stops_at_the_ceiling():
     # one atom and nothing else: its carry product pairs 14 states, which
     # minimize to 7
@@ -248,6 +258,39 @@ def test_conjunction_compositionality():
     d1, d2 = compile(f1, ENV), compile(f2, ENV)
     dand = compile(And(f1, f2), ENV)
     assert dand == minimize(product(d1, inflate(d2, 1), "and"))
+
+
+CONNECTIVES = {And: lambda a, b: a and b, Or: lambda a, b: a or b,
+               Implies: lambda a, b: not a or b, Iff: lambda a, b: a == b}
+
+
+@pytest.mark.parametrize("node", list(CONNECTIVES), ids=lambda node: node.__name__)
+def test_connectives_match_their_truth_tables(node):
+    # each side is a true constant, a false constant or an atom on n
+    lefts = {"0 = 0": lambda n: True, "0 = 1": lambda n: False,
+             "x[n] = 1": lambda n: TMVALS[n] == 1}
+    rights = {"1 = 1": lambda n: True, "1 = 0": lambda n: False,
+              "x[n+1] = 1": lambda n: TMVALS[n + 1] == 1}
+    for (lt, lv), (rt, rv) in itertools.product(lefts.items(), rights.items()):
+        f = node(parse(lt), parse(rt))
+        want = [CONNECTIVES[node](lv(n), rv(n)) for n in range(64)]
+        if free_variables(f):
+            ch = characteristic(f, ENV)
+            assert [bool(ch.evaluate(n)) for n in range(64)] == want, (lt, rt)
+        else:
+            assert decide(f, ENV).value == want[0], (lt, rt)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("E n (0 = 1) & (E i A t (t < n) => x[i+t] = x[i+n+t])", False),
+    ("A n (0 = 0) | (E i A t (t < n) => x[i+t] = x[i+n+t])", True),
+    ("A n (0 = 1) => (E i A t (t < n) => x[i+t] = x[i+n+t])", True)])
+def test_a_left_side_that_fixes_the_result_leaves_the_right_uncompiled(text, value):
+    cfg = CompileConfig(max_states=2)
+    assert decide(parse(text), ENV, cfg).value is value
+    assert cfg.peak_states == 0
+    with pytest.raises(ResourceLimit):  # the right side alone
+        compile(parse("E i A t (t < n) => x[i+t] = x[i+n+t]"), ENV, CompileConfig(max_states=2))
 
 
 def test_quantifier_duality():
