@@ -12,7 +12,8 @@ at i has its last letter at position i and must fit entirely to the left.
 from dataclasses import dataclass
 
 from . import automata, logic, regseq
-from .automata import Dfa, Nfa, minimize, pad_closure, permute_tracks, is_empty, is_finite
+from .automata import (Dfa, determinize_reverse, minimize, pad_closure, permute_tracks,
+                       is_empty, is_finite)
 from .logic import (parse, compile as compile_formula, decide, characteristic,
                     CompileConfig, Var, Add, Compare, Not, And, Implies, Iff,
                     Forall, Call)
@@ -51,8 +52,44 @@ TWO_SEQUENCE_KINDS = ("factors-in-x-not-y", "factors-in-both")
 # Shared predicate fragments ("x" is the bound sequence, i the position,
 # n the length).
 _FIRST_OCC = "(A j ((j < i) => (E t (t < n) & (x[i+t] != x[j+t]))))"
-_UNBORDERED_AT = "(A l ((1 <= l & 2*l <= n) => (E s (s < l) & (x[i+s] != x[i+n-l+s]))))"
-_PALINDROME_AT = "(A t ((2*t + 1 <= n) => (x[i+t] = x[i+n-t-1])))"
+# The factor of x of length n at i does (not) occur in y.
+_IN_Y = "(E j (A t (t < n) => (x[i+t] = y[j+t])))"
+_NOT_IN_Y = "(A j (E t (t < n) & (x[i+t] != y[j+t])))"
+
+# (object, anchor) -> (length variable, length term, "it sits at {p}"),
+# where {L} stands for the length variable.
+_OBJECTS = {
+    ("square", "begin"): ("q", "2*{L}", "(A t (t < {L}) => (x[{p}+t] = x[{p}+{L}+t]))"),
+    ("square", "center"): ("q", "2*{L}", "(A t (t < {L}) => (x[{p}-{L}+t] = x[{p}+t]))"),
+    ("square", "end"): ("q", "2*{L}", "(A t (t < {L}) => (x[{p}+1-2*{L}+t] = x[{p}+1-{L}+t]))"),
+    ("overlap", "begin"): ("q", "2*{L} + 1", "(A t (t <= {L}) => (x[{p}+t] = x[{p}+{L}+t]))"),
+    ("overlap", "end"): ("q", "2*{L} + 1", "(A t (t <= {L}) => (x[{p}-2*{L}+t] = x[{p}-{L}+t]))"),
+    ("palindrome", "begin"): (
+        "m", "{L}", "(A t ((2*t + 1 <= {L}) => (x[{p}+t] = x[{p}+{L}-t-1])))"),
+    ("palindrome", "center"): (
+        "m", "{L}",
+        "((E r ((2*r + 1 = {L}) & (A t (t < r) => (x[{p}-r+t] = x[{p}+r-t]))))"
+        " | (E r ((2*r = {L}) & (1 <= r) & (A t (t < r) => (x[{p}-r+t] = x[{p}+r-1-t])))))"),
+    ("palindrome", "end"): ("m", "{L}", "(A t ((2*t + 1 <= {L}) => (x[{p}+1-{L}+t] = x[{p}-t])))"),
+    ("unbordered", "begin"): (
+        "n", "{L}",
+        "(A l ((1 <= l & 2*l <= {L}) => (E s (s < l) & (x[{p}+s] != x[{p}+{L}-l+s]))))"),
+    ("unbordered", "end"): (
+        "n", "{L}",
+        "(A l ((1 <= l & 2*l <= {L}) => (E s (s < l) & (x[{p}+1-{L}+s] != x[{p}+1-l+s]))))"),
+}
+
+
+def _at(obj, anchor, p, var=None):
+    """(length variable, length term, predicate) of the object at position
+    p, with its length variable renamed to var if given."""
+    L, size, sits = _OBJECTS[obj, anchor]
+    L = var or L
+    return L, size.format(L=L), sits.format(p=p, L=L)
+
+
+_PALINDROME_AT = _at("palindrome", "begin", "i", "n")[2]
+_UNBORDERED_AT = _at("unbordered", "begin", "i")[2]
 
 
 def _pair_counting_dfa(text_or_ast, env, param, witness, config):
@@ -69,49 +106,25 @@ def _pair_counting_dfa(text_or_ast, env, param, witness, config):
 
 def indicator(x, kind, anchor="begin", config=None):
     """0/1 sequence over positions i: an object of the kind sits at i."""
-    env = {"x": x}
-    combos = {
-        ("square", "begin"):
-            "E q (1 <= q) & (A t (t < q) => (x[i+t] = x[i+q+t]))",
-        ("square", "center"):
-            "E q (1 <= q) & (A t (t < q) => (x[i-q+t] = x[i+t]))",
-        ("square", "end"):
-            "E q (1 <= q) & (A t (t < q) => (x[i+1-2*q+t] = x[i+1-q+t]))",
-        ("overlap", "begin"):
-            "E q (1 <= q) & (A t (t <= q) => (x[i+t] = x[i+q+t]))",
-        ("overlap", "end"):
-            "E q (1 <= q) & (A t (t <= q) => (x[i-2*q+t] = x[i-q+t]))",
-        ("palindrome", "begin"):
-            "E n (1 <= n) & (A t ((2*t + 1 <= n) => (x[i+t] = x[i+n-t-1])))",
-        ("palindrome", "center"):
-            "(E r (A t (t < r) => (x[i-r+t] = x[i+r-t])))"
-            " | (E r (1 <= r) & (A t (t < r) => (x[i-r+t] = x[i+r-1-t])))",
-        ("palindrome", "end"):
-            "E n (1 <= n) & (A t ((2*t + 1 <= n) => (x[i+1-n+t] = x[i-t])))",
-        ("unbordered", "begin"):
-            "E n (1 <= n) & (A l ((1 <= l & 2*l <= n) => "
-            "(E s (s < l) & (x[i+s] != x[i+n-l+s]))))",
-        ("unbordered", "end"):
-            "E n (1 <= n) & (A l ((1 <= l & 2*l <= n) => "
-            "(E s (s < l) & (x[i+1-n+s] != x[i+1-l+s]))))",
-    }
-    text = combos.get((kind, anchor))
-    if text is None:
+    if (kind, anchor) not in _OBJECTS:
         raise ValueError(f"indicator kind {kind!r} with anchor {anchor!r} is not defined")
-    return characteristic(parse(text), env, config)
+    L, _, sits = _at(kind, anchor, "i")
+    return characteristic(parse(f"E {L} (1 <= {L}) & {sits}"), {"x": x}, config)
 
 
 def unbordered_characteristic(x, config=None):
     """b(n) = 1 iff the sequence has an unbordered factor of length n."""
-    text = ("E j A l ((1 <= l & 2*l <= n) => "
-            "(E i (i < l) & (x[j+i] != x[j+n-l+i])))")
-    return characteristic(parse(text), {"x": x}, config)
+    return characteristic(parse(f"E j {_at('unbordered', 'begin', 'j')[2]}"), {"x": x}, config)
 
 
 def _measure_formula(kind, anchor):
     """(formula text, parameter var, witness var) for one measure kind."""
-    pal_center = ("((E r ((2*r + 1 = m) & (A t (t < r) => (x[n-r+t] = x[n+r-t]))))"
-                  " | (E r ((2*r = m) & (1 <= r) & (A t (t < r) => (x[n-r+t] = x[n+r-1-t])))))")
+    if kind in ("square-count-at", "palindrome-count-at"):
+        L, _, sits = _at(kind.split("-")[0], anchor, "n")
+        return f"(1 <= {L}) & {sits}", "n", L
+    if kind in ("longest-square-at", "longest-palindrome-at"):
+        L, size, sits = _at(kind.split("-")[1], anchor, "n")
+        return f"E {L} (u < {size}) & {sits}", "n", "u"
     table = {
         ("subword-complexity", None): (
             _FIRST_OCC, "n", "i"),
@@ -119,31 +132,6 @@ def _measure_formula(kind, anchor):
             f"{_PALINDROME_AT} & {_FIRST_OCC}", "n", "i"),
         ("unbordered-count", None): (
             f"{_UNBORDERED_AT} & {_FIRST_OCC}", "n", "i"),
-        ("square-count-at", "begin"): (
-            "(1 <= q) & (A t (t < q) => (x[n+t] = x[n+q+t]))", "n", "q"),
-        ("square-count-at", "center"): (
-            "(1 <= q) & (A t (t < q) => (x[n-q+t] = x[n+t]))", "n", "q"),
-        ("square-count-at", "end"): (
-            "(1 <= q) & (A t (t < q) => (x[n+1-2*q+t] = x[n+1-q+t]))", "n", "q"),
-        ("longest-square-at", "begin"): (
-            "E q (1 <= q) & (u < 2*q) & (A t (t < q) => (x[n+t] = x[n+q+t]))", "n", "u"),
-        ("longest-square-at", "center"): (
-            "E q (1 <= q) & (u < 2*q) & (A t (t < q) => (x[n-q+t] = x[n+t]))", "n", "u"),
-        ("longest-square-at", "end"): (
-            "E q (1 <= q) & (u < 2*q) & (A t (t < q) => (x[n+1-2*q+t] = x[n+1-q+t]))",
-            "n", "u"),
-        ("palindrome-count-at", "begin"): (
-            "(1 <= m) & (A t ((2*t + 1 <= m) => (x[n+t] = x[n+m-t-1])))", "n", "m"),
-        ("palindrome-count-at", "center"): (
-            f"(1 <= m) & {pal_center}", "n", "m"),
-        ("palindrome-count-at", "end"): (
-            "(1 <= m) & (A t ((2*t + 1 <= m) => (x[n+1-m+t] = x[n-t])))", "n", "m"),
-        ("longest-palindrome-at", "begin"): (
-            "E m (u < m) & (A t ((2*t + 1 <= m) => (x[n+t] = x[n+m-t-1])))", "n", "u"),
-        ("longest-palindrome-at", "center"): (
-            f"E m (u < m) & (1 <= m) & {pal_center}", "n", "u"),
-        ("longest-palindrome-at", "end"): (
-            "E m (u < m) & (A t ((2*t + 1 <= m) => (x[n+1-m+t] = x[n-t])))", "n", "u"),
         # Exponent at least 2: with any smaller threshold the value is
         # trivially infinite at every position (two equal letters at
         # distance d already form a (d+1)/d-power).
@@ -158,9 +146,9 @@ def _measure_formula(kind, anchor):
             "(E m (j < m) & (A s (s < n) => (x[m+s] = x[i+s]))))) & " + _FIRST_OCC,
             "n", "i"),
         ("factors-in-x-not-y", None): (
-            f"(A j (E t (t < n) & (x[i+t] != y[j+t]))) & {_FIRST_OCC}", "n", "i"),
+            f"{_NOT_IN_Y} & {_FIRST_OCC}", "n", "i"),
         ("factors-in-both", None): (
-            f"(E j (A t (t < n) => (x[i+t] = y[j+t]))) & {_FIRST_OCC}", "n", "i"),
+            f"{_IN_Y} & {_FIRST_OCC}", "n", "i"),
         ("recurrence-R", None): (
             "E i E j A l ((i <= l & l + n <= i + t) => "
             "(E m (m < n) & (x[l+m] != x[j+m])))", "n", "t"),
@@ -328,21 +316,19 @@ def factor_set_compare(x, y, config=None):
     if x.base != y.base:
         raise ValueError("sequences must share the base")
     cfg = config or CompileConfig()
-    env = {"x": x, "y": y}
-    sub_xy = decide(parse(
-        "A i A n E j (A t (t < n) => (x[i+t] = y[j+t]))"), env, cfg).value
-    sub_yx = decide(parse(
-        "A i A n E j (A t (t < n) => (y[i+t] = x[j+t]))"), env, cfg).value
+    all_in_y = parse(f"A i A n {_IN_Y}")
+    sub_xy = decide(all_in_y, {"x": x, "y": y}, cfg).value
+    sub_yx = decide(all_in_y, {"x": y, "y": x}, cfg).value
     q = max(x.n_states, y.n_states)
     tower = f"2^(2^(2^(2*{q}^2)))"
     if sub_xy and sub_yx:
         return FactorComparison(True, True, True, None, None, tower)
     # The shortest factor of one sequence missing from the other; x wins ties.
-    missing = "E i (A j (E t (t < n) & (x[i+t] != y[j+t])))"
+    missing = parse(f"E i {_NOT_IN_Y}")
     found = []
     for side, a, b, contained in (("x", x, y, sub_xy), ("y", y, x, sub_yx)):
         if not contained:
-            dfa = compile_formula(parse(missing), {"x": a, "y": b}, cfg)
+            dfa = compile_formula(missing, {"x": a, "y": b}, cfg)
             # Missing lengths are upward closed, and the shortest accepted
             # word need not encode the least of them: bisect below it.
             lo, n0 = 0, decode_lsd(project_track(is_empty(dfa)[1], 0))
@@ -351,7 +337,7 @@ def factor_set_compare(x, y, config=None):
                 lo, n0 = (lo, mid) if dfa.accepts_values((mid,)) else (mid + 1, n0)
             found.append((n0, side, a, b))
     n0, side, a, b = min(found, key=lambda f: f[0])
-    g = parse(f"(n = {n0}) & (A j (E t (t < n) & (x[i+t] != y[j+t])))")
+    g = parse(f"(n = {n0}) & {_NOT_IN_Y}")
     _, w2 = is_empty(compile_formula(g, {"x": a, "y": b}, cfg))
     i0 = decode_lsd(project_track(w2, 0))
     factor = tuple(prefix(a, i0 + n0)[i0:])
@@ -395,46 +381,11 @@ def conjectured_bordered_lengths(config=None):
     """Lsd DFA for the conjectured set of lengths all of whose Thue-Morse
     factors are bordered: msd expansions matching 1(01*0)*10*1.
 
-    Built by reversing a small epsilon-NFA for the msd pattern and closing
-    under padding, so it can be compared against compiled characteristic
-    automata.  config bounds the subset construction and records its size.
+    The pattern's msd DFA is reversed and closed under padding, so it can
+    be compared against compiled characteristic automata.  config bounds
+    the subset construction and records its size.
     """
-    states = [0]
-
-    def new_state():
-        states.append(len(states))
-        return len(states) - 1
-
-    edges = []  # (src, digit-or-None, dst)
-
-    def lit(d):
-        a, b = new_state(), new_state()
-        edges.append((a, d, b))
-        return a, b
-
-    def concat(f1, f2):
-        edges.append((f1[1], None, f2[0]))
-        return f1[0], f2[1]
-
-    def star(f):
-        a, b = new_state(), new_state()
-        edges.append((a, None, f[0]))
-        edges.append((f[1], None, b))
-        edges.append((a, None, b))
-        edges.append((f[1], None, f[0]))
-        return a, b
-
-    frag = lit(1)
-    frag = concat(frag, star(concat(lit(0), concat(star(lit(1)), lit(0)))))
-    frag = concat(frag, lit(1))
-    frag = concat(frag, star(lit(0)))
-    frag = concat(frag, lit(1))
-    nfa = Nfa(2, 1, len(states), initials={frag[1]: 1}, finals={frag[0]: 1})
-    for src, d, dst in edges:
-        # reversed: lsd automaton reads the msd pattern backwards
-        if d is None:
-            nfa.add_eps(dst, src)
-        else:
-            nfa.add_edge(dst, d, src)
+    # start, after 1(01*0)*, inside 01*0, in 10*, accepted, dead
+    msd = Dfa(2, 1, [[5, 1], [2, 3], [1, 2], [3, 4], [5, 5], [5, 5]], 0, {4})
     cfg = config or CompileConfig()
-    return pad_closure(cfg.note(cfg.build(automata.determinize, regseq.eps_saturate(nfa))))
+    return pad_closure(cfg.note(cfg.build(determinize_reverse, msd)))

@@ -136,15 +136,17 @@ def cmd_measure(args):
     y = session.sequence(args.second) if args.second else None
     indices = _parse_range(args.range)
     rep = _measure(session, x, args, y)
-    for n in indices:
-        print(n, rep.evaluate(n))
+    wrote = []  # written before anything is printed, so a failed write prints nothing
     if args.export:
         _write(args.export, regseq.store(rep))
-        print(f"wrote {args.export} (rank {rep.rank}, {rep.semiring})")
+        wrote.append(f"{args.export} (rank {rep.rank}, {rep.semiring})")
         if rep.inf_part is not None:
-            path = args.export + ".infpart"
-            _write(path, automata.store(rep.inf_part.infinite_part))
-            print(f"wrote {path} (infinity locus)")
+            _write(args.export + ".infpart", automata.store(rep.inf_part.infinite_part))
+            wrote.append(f"{args.export}.infpart (infinity locus)")
+    for n in indices:
+        print(n, rep.evaluate(n))
+    for line in wrote:
+        print("wrote", line)
     return EXIT_OK
 
 
@@ -162,6 +164,8 @@ _CONJECTURED_SYSTEM = [
 
 
 def cmd_verify_conjecture(args):
+    if args.sample < 0:
+        raise UsageError("--sample must be >= 0")
     session = Session(args.seq, args.max_states, args.base)
     tm = session.sequence("tm")
     print("== borderless-lengths pattern ==")

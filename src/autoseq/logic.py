@@ -440,7 +440,7 @@ class _Parser:
         right_seq = self.try_seqindex()
         if right_seq is not None:
             name, idx = right_seq
-            return self.seq_atom_vs_term(name, idx, _FLIPPED[op], left, pos)
+            return self.seq_atom_vs_term(name, idx, op, left, pos)
         right = self.term()
         return self.compare_atom(left, op, right, pos)
 

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from autoseq.analyses import (FactorComparison, conjectured_bordered_lengths,
@@ -10,7 +12,7 @@ from autoseq.automata import Dfa, equivalent, is_empty, minimize, pad_closure, p
 from autoseq.logic import CompileConfig, ResourceLimit, parse, compile as compile_formula
 from autoseq.oracle import CertificationError, PrefixContext, brute, thue_morse_prefix
 from autoseq.regseq import INF, count_parameter
-from autoseq.seqgen import Dfao, prefix, thue_morse
+from autoseq.seqgen import Dfao, load, prefix, thue_morse
 
 TM = thue_morse()
 CTX = PrefixContext(thue_morse_prefix(10 ** 4))
@@ -18,6 +20,8 @@ CONST0 = Dfao(2, [[0, 0]], 0, [0])
 # x[n] = n mod 2, i.e. the periodic word 0101...
 PERIOD2 = Dfao(2, [[1, 2], [1, 1], [2, 2]], 0, [0, 0, 1])
 SWAPPED = Dfao(2, TM.transitions, TM.initial, [1, 0])
+RS = load((pathlib.Path(__file__).resolve().parents[1]
+           / "bench" / "corpus" / "rs.dfao").read_text())
 
 
 def periodic(word):
@@ -54,6 +58,18 @@ def test_indicator_square_center():
     for i in range(50):
         want = any(i >= q and w[i - q:i] == w[i:i + q] for q in range(1, 30))
         assert ind.evaluate(i) == (1 if want else 0)
+
+
+@pytest.mark.parametrize("x", [TM, RS], ids=["tm", "rs"])
+def test_indicator_agrees_with_count_at(x):
+    # both are built from one predicate per object and anchor: some
+    # object sits at i exactly when the count of objects at i is nonzero
+    for obj in ("square", "palindrome"):
+        for anchor in ("begin", "center", "end"):
+            ind = indicator(x, obj, anchor)
+            count = measure(x, f"{obj}-count-at", anchor=anchor)
+            for i in range(64):
+                assert (ind.evaluate(i) == 1) == (count.evaluate(i) != 0), (obj, anchor, i)
 
 
 def test_indicator_undefined_combo():

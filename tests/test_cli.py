@@ -203,8 +203,8 @@ def test_an_unwritable_output_path_exits_2(tmp_path, capsys):
     for argv in (["characteristic", "E q n = 2*q", "0..3", "--export", path],
                  ["measure", "subword-complexity", "tm", "1..4", "--export", path],
                  ["export-automaton", "E q n = 2*q", "--out", path]):
-        code, _, err = run(capsys, *argv)
-        assert code == 2, argv
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
         assert err.startswith(f"error: cannot write {path}"), err
         assert "Traceback" not in err
 
@@ -216,7 +216,8 @@ def test_negative_numbers_exit_2(capsys):
                  ["eval-seq", "tm", "--", "-1"],
                  ["eval-seq", "tm", "--", "2..-1"],
                  ["oracle-compare", "subword-complexity", "tm", "5", "--prefix-len", "-10"],
-                 ["oracle-compare", "subword-complexity", "tm", "--", "-1"]):
+                 ["oracle-compare", "subword-complexity", "tm", "--", "-1"],
+                 ["verify-conjecture", "--sample", "-3"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:"), (argv, err)

@@ -32,6 +32,11 @@ def test_parse_shapes():
         parse("l <= n/2")
     f = parse("n ≡ 1 mod 6")
     assert isinstance(f, Exists)
+    # a literal on the left compares as it does on the right
+    for op in ("=", "!="):
+        assert parse(f"1 {op} x[n]") == parse(f"x[n] {op} 1") == SeqIs("x", Var("n"), op, 1)
+    with pytest.raises(ParseError, match="only = and != compare"):
+        parse("1 < x[n]")
 
 
 def test_parse_errors():
