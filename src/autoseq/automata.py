@@ -651,60 +651,86 @@ def store(aut):
     return "\n".join(lines) + "\n"
 
 
-def load(text):
-    """Parse the text automaton format produced by store(); malformed text
-    raises ValueError naming the line."""
+def _parse(convert, tokens, lineno, ln=None):
+    """[convert(t) for t in tokens]; a token it refuses raises ValueError
+    naming the line, and the line's text for a data line."""
+    try:
+        return [convert(t) for t in tokens]
+    except (ValueError, ZeroDivisionError) as exc:
+        where = "" if ln is None else f" in {ln!r}"
+        raise ValueError(f"line {lineno}: {exc}{where}") from None
+
+
+def _read_text(text, noun, kinds, spec):
+    """The one reader of the stored text formats (this module's, seqgen's
+    and regseq's): the nonblank lines, numbered from 1, the first a header
+    `kind key=value ...` with kind in `kinds`.
+
+    `spec` maps each required field to its least value, or to None for a
+    field kept as text.  Returns the header's line number, its kind, the
+    fields (the bounded ones as ints) and the (lineno, line) pairs after
+    it.  Every header error names its line."""
     lines = [(i + 1, ln) for i, raw in enumerate(text.splitlines()) if (ln := raw.strip())]
     if not lines:
-        raise ValueError("empty automaton text")
+        raise ValueError(f"empty {noun} text")
     lineno, header = lines[0]
     kind, *parts = header.split()
-    if kind not in ("dfa", "nfa"):
-        raise ValueError(f"line {lineno}: unknown automaton kind {kind!r}")
+    if kind not in kinds:
+        raise ValueError(f"line {lineno}: expected {noun} header" if kinds == (noun,)
+                         else f"line {lineno}: unknown {noun} kind {kind!r}")
     fields = dict(p.partition("=")[::2] for p in parts)
-    try:
-        base, arity, n_states = (int(fields[key]) for key in ("base", "arity", "states"))
-        initials, finals = ([int(x) for x in fields[key].split(",") if x != ""]
-                            for key in ("initial", "finals"))
-    except KeyError as exc:
-        raise ValueError(f"line {lineno}: header has no {exc.args[0]}= field") from None
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
-    for key, value, least in (("base", base, 2), ("arity", arity, 0), ("states", n_states, 0)):
-        if value < least:
-            raise ValueError(f"line {lineno}: {key} must be >= {least}, got {value}")
+    for key, least in spec.items():
+        if key not in fields:
+            raise ValueError(f"line {lineno}: header has no {key}= field")
+        if least is not None:
+            fields[key] = _parse(int, [fields[key]], lineno)[0]
+            if fields[key] < least:
+                raise ValueError(f"line {lineno}: {key} must be >= {least}, got {fields[key]}")
+    return lineno, kind, fields, lines[1:]
+
+
+def load(text):
+    """Parse the text automaton format produced by store(); malformed text
+    raises ValueError naming the line.  The table holds only the lines
+    read, so memory grows with the text, not with the declared sizes."""
+    lineno, kind, fields, data = _read_text(text, "automaton", ("dfa", "nfa"), {
+        "base": 2, "arity": 0, "states": 0, "initial": None, "finals": None})
+    base, arity, n_states = fields["base"], fields["arity"], fields["states"]
+    initials, finals = (_parse(int, [x for x in fields[key].split(",") if x != ""], lineno)
+                        for key in ("initial", "finals"))
     if any(not 0 <= q < n_states for q in initials + finals):
         raise ValueError(f"line {lineno}: initial or final state out of range")
     if kind == "dfa" and len(initials) != 1:
         raise ValueError(f"line {lineno}: a DFA has exactly one initial state")
-    index = sym_index(base, arity)
-    if kind == "dfa":
-        table = [[None] * base ** arity for _ in range(n_states)]
-    else:
+    if kind == "nfa":
         out = Nfa(base, arity, n_states, initials=initials, finals=finals)
-    for lineno, ln in lines[1:]:
+    table = {}  # (state, symbol id) -> target
+    for lineno, ln in data:
         parts = ln.split()
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: malformed transition {ln!r}")
         eps = parts[1] == "eps"
-        try:
-            src, mult, dst = int(parts[0]), int(parts[2]), int(parts[3])
-            sym = None if eps else index.get(tuple(int(d) for d in parts[1].split(",")))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc} in {ln!r}") from None
-        if not (0 <= src < n_states and 0 <= dst < n_states) or (sym is None and not eps):
+        src, mult, dst = _parse(int, (parts[0], parts[2], parts[3]), lineno, ln)
+        digits = [] if eps else _parse(int, parts[1].split(","), lineno, ln)
+        sym = 0  # lexicographic id, track 0 most significant
+        for d in digits:
+            sym = sym * base + d
+        if not (0 <= src < n_states and 0 <= dst < n_states) or not eps and (
+                len(digits) != arity or not all(0 <= d < base for d in digits)):
             raise ValueError(f"line {lineno}: state or symbol out of range in {ln!r}")
         if kind == "dfa":
             if eps or mult != 1:
                 raise ValueError(f"line {lineno}: DFA transitions must have multiplicity 1")
-            table[src][sym] = dst
+            table[src, sym] = dst
         elif eps:
             out.add_eps(src, dst, mult)
         else:
             out.add_edge(src, sym, dst, mult)
     if kind == "nfa":
         return out
-    for q, row in enumerate(table):
-        if any(t is None for t in row):
+    nsym = base ** arity if table else 1  # a line read has `arity` digits
+    for q in range(n_states):
+        if not all((q, s) in table for s in range(nsym)):
             raise ValueError(f"state {q}: transition table is not total")
-    return Dfa(base, arity, table, initials[0], finals)
+    rows = [[table[q, s] for s in range(nsym)] for q in range(n_states)]
+    return Dfa(base, arity, rows, initials[0], finals)

@@ -275,8 +275,8 @@ _TOKEN_RE = re.compile(r"""
 _RELOP_CANON = {"≤": "<=", "≥": ">=", "≠": "!="}
 _CMP_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-# a op b holds exactly when b _FLIPPED[op] a does
-_FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+# atom_compare reads a > b as b < a, and a >= b as b <= a
+_FLIPPED = {">": "<", ">=": "<="}
 
 
 def _tokenize(text):
@@ -815,7 +815,7 @@ class _Compiler:
 
     def atom_compare(self, f):
         left, op, right = f.left, f.op, f.right
-        if op in (">", ">="):
+        if op in _FLIPPED:
             left, op, right = right, _FLIPPED[op], left
         coeffs, const = _form_add(_term_form(left), _form_scale(_term_form(right), -1))
         if not coeffs:

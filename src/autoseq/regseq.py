@@ -17,6 +17,7 @@ representation off the resulting weighted automaton.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
 from . import automata, logic
@@ -791,7 +792,7 @@ def _entry_str(x):
     return str(x)
 
 
-def _entry_parse(text, semiring):
+def _entry_parse(semiring, text):
     if text == "inf":
         if semiring != "natinf":
             raise ValueError("inf entry outside the natinf semiring")
@@ -819,32 +820,17 @@ def store(l):
 def load(text):
     """Parse the text form produced by store(); malformed text raises
     ValueError naming the line."""
-    lines = [(i + 1, ln) for i, raw in enumerate(text.splitlines()) if (ln := raw.strip())]
-    if not lines:
-        raise ValueError("empty linrep text")
-    lineno, header = lines[0]
-    kind, *parts = header.split()
-    if kind != "linrep":
-        raise ValueError(f"line {lineno}: expected linrep header")
-    fields = dict(p.partition("=")[::2] for p in parts)
-    try:
-        semiring, base, rank = fields["semiring"], int(fields["base"]), int(fields["rank"])
-    except KeyError as exc:
-        raise ValueError(f"line {lineno}: header has no {exc.args[0]}= field") from None
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
-    for key, value, least in (("base", base, 2), ("rank", rank, 0)):
-        if value < least:
-            raise ValueError(f"line {lineno}: {key} must be >= {least}, got {value}")
+    lineno, _, fields, data = automata._read_text(
+        text, "linrep", ("linrep",), {"semiring": None, "base": 2, "rank": 0})
+    semiring, base, rank = fields["semiring"], fields["base"], fields["rank"]
+    if semiring not in _SEMIRINGS:
+        raise ValueError(f"line {lineno}: unknown semiring {semiring!r}")
     need = 2 + base * rank if rank else 0  # store writes blank lines at rank 0
-    if len(lines) != 1 + need:
-        raise ValueError(f"expected {need} data lines, got {len(lines) - 1}")
+    if len(data) != need:
+        raise ValueError(f"expected {need} data lines, got {len(data)}")
     rows = []
-    for lineno, ln in lines[1:]:
-        try:
-            rows.append([_entry_parse(x, semiring) for x in ln.split()])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"line {lineno}: {exc} in {ln!r}") from None
+    for lineno, ln in data:
+        rows.append(automata._parse(partial(_entry_parse, semiring), ln.split(), lineno, ln))
         if len(rows[-1]) != rank:
             raise ValueError(f"line {lineno}: row width disagrees with the declared rank")
     u, v = (rows[0], rows[-1]) if rank else ((), ())

@@ -7,7 +7,7 @@ independent of how many trailing zero digits its representation carries;
 it is validated at construction and on load.
 """
 
-from .automata import _zero_unstable
+from .automata import _parse, _read_text, _zero_unstable
 from .numeration import encode_lsd
 
 
@@ -92,51 +92,38 @@ def store(s):
 
 
 def load(text):
-    """Parse the Dfao text format, rejecting partial or padding-unstable input."""
-    lines = [(i + 1, ln) for i, raw in enumerate(text.splitlines())
-             if (ln := raw.strip())]
-    if not lines:
-        raise ValueError("empty dfao text")
-    lineno, header = lines[0]
-    parts = header.split()
-    if parts[0] != "dfao":
-        raise ValueError(f"line {lineno}: expected dfao header")
-    fields = dict(p.partition("=")[::2] for p in parts[1:])
-    try:
-        base, n_states, initial = (int(fields[key]) for key in ("base", "states", "initial"))
-    except KeyError as exc:
-        raise ValueError(f"line {lineno}: header has no {exc.args[0]}= field") from None
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
+    """Parse the Dfao text format, rejecting partial or padding-unstable
+    input.  Memory grows with the lines read, not with the declared sizes."""
+    lineno, _, fields, data = _read_text(text, "dfao", ("dfao",),
+                                         {"base": 2, "states": 0, "initial": None})
+    base, n_states = fields["base"], fields["states"]
+    initial, = _parse(int, [fields["initial"]], lineno)
+    if not 0 <= initial < n_states:
+        raise ValueError(f"line {lineno}: initial state {initial} out of range")
     if fields.get("order", "lsd") != "lsd":
         raise ValueError(f"line {lineno}: unsupported digit order {fields.get('order')!r}")
-    outputs = [None] * n_states
-    table = [[None] * base for _ in range(n_states)]
-    for lineno, ln in lines[1:]:
+    outputs, table = {}, {}  # state -> output, (state, digit) -> target
+    for lineno, ln in data:
         parts = ln.split()
         if parts[0] == "state":
             if len(parts) != 4 or parts[2] != "output":
                 raise ValueError(f"line {lineno}: malformed state line {ln!r}")
-            try:
-                q, sym = int(parts[1]), parts[3]
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc} in {ln!r}") from None
+            q, = _parse(int, parts[1:2], lineno, ln)
             if not 0 <= q < n_states:
                 raise ValueError(f"line {lineno}: state {q} out of range")
+            sym = parts[3]
             outputs[q] = int(sym) if sym.lstrip("-").isdigit() else sym
         else:
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed transition {ln!r}")
-            try:
-                src, d, dst = (int(p) for p in parts)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc} in {ln!r}") from None
+            src, d, dst = _parse(int, parts, lineno, ln)
             if not (0 <= src < n_states and 0 <= d < base):
                 raise ValueError(f"line {lineno}: state or digit out of range in {ln!r}")
-            table[src][d] = dst
+            table[src, d] = dst
     for q in range(n_states):
-        if outputs[q] is None:
+        if q not in outputs:
             raise ValueError(f"state {q}: missing output")
-        if any(t is None for t in table[q]):
+        if not all((q, d) in table for d in range(base)):
             raise ValueError(f"state {q}: transition table is not total")
-    return Dfao(base, table, initial, outputs)
+    rows = [[table[q, d] for d in range(base)] for q in range(n_states)]
+    return Dfao(base, rows, initial, [outputs[q] for q in range(n_states)])

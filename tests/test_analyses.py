@@ -263,6 +263,19 @@ def test_factor_set_compare():
     assert cmp5.distinguishing_factor == ("y", (0, 0, 0, 0, 0))
 
 
+def test_factor_set_compare_on_a_sequence_that_is_not_recurrent():
+    # powers of two, 0110100010...: 011 occurs only at position 0, so an
+    # occurrence in y must be allowed to start there
+    pow2 = Dfao(2, [[0, 1], [1, 2], [2, 2]], 0, [0, 1, 0])
+    assert factor_set_compare(pow2, pow2).equal
+    # 000 is missing from TM; TM's 011 is found in pow2 at position 0 only,
+    # and its factors missing from pow2 are at least 4 long
+    cmp = factor_set_compare(TM, pow2)
+    assert not cmp.x_subset_of_y and not cmp.y_subset_of_x
+    assert cmp.distinguishing_length == 3
+    assert cmp.distinguishing_factor == ("y", (0, 0, 0))
+
+
 def test_linear_complexity_check():
     sub = measure(TM, "subword-complexity")
     verdict = linear_complexity_check(sub)

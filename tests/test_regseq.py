@@ -727,6 +727,11 @@ def test_load_rejects_a_negative_rank_on_the_header_line():
         load("linrep semiring=nat base=2 rank=-1\n1\n1\n")
 
 
+def test_load_names_line_1_for_an_unknown_semiring():
+    with pytest.raises(ValueError, match=r"^line 1: unknown semiring 'foo'$"):
+        load("linrep semiring=foo base=2 rank=1\n1\n1\n1\n1\n")
+
+
 def test_load_names_the_line_of_a_malformed_entry():
     with pytest.raises(ValueError, match="line 1: invalid literal for int.*'two'"):
         load("linrep semiring=nat base=two rank=1\n1\n1\n1\n1\n")

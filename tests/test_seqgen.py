@@ -65,6 +65,16 @@ def test_load_names_the_line_of_a_non_integer_field():
         load("dfao base=2 states=1 initial=0 order=lsd\n" + body.replace("0 1 0", "0 1 y"))
 
 
+@pytest.mark.parametrize("header, message", [
+    ("dfao base=1 states=1 initial=0", "base must be >= 2, got 1"),
+    ("dfao base=2 states=-1 initial=0", "states must be >= 0, got -1"),
+    ("dfao base=2 states=1 initial=1", "initial state 1 out of range"),
+], ids=["base", "states", "initial"])
+def test_load_rejects_a_header_out_of_bounds(header, message):
+    with pytest.raises(ValueError, match=f"^line 1: {message}$"):
+        load(f"{header} order=lsd\nstate 0 output 0\n0 0 0\n0 1 0\n")
+
+
 def test_padding_instability_rejected():
     # output(delta(q0, 0)) != output(q0)
     with pytest.raises(ValueError, match="instability"):
