@@ -201,8 +201,6 @@ def measure(x, kind, y=None, anchor=None, config=None):
 def permutation_order(x, config=None):
     """Pad-closed DFA over (i, j): the shift at i precedes the shift at j
     in lexicographic order of the infinite suffixes."""
-    if len(set(x.outputs)) < 1:
-        raise ValueError("output alphabet is empty")
     text = "E t ((A l (l < t) => (x[i+l] = x[j+l])) & (x[i+t] < x[j+t]))"
     return compile_formula(parse(text), {"x": x}, config)
 
@@ -260,21 +258,22 @@ def has_unbounded_exponent(x, config=None):
                for comp in automata._sccs(reach, zero_succ.__getitem__))
 
 
-def _canonical_only(dfa):
+def _canonical_only(dfa, cfg):
     """Restrict an arity-1 language to canonical words (no trailing zero),
     one word per value, so finiteness questions are about value sets."""
     canon = Dfa(dfa.base, 1,
                 [[1, 0] + [0] * (dfa.base - 2), [1, 0] + [0] * (dfa.base - 2)],
                 0, {0})
-    return automata.product(dfa, canon, "and")
+    return automata.product(dfa, canon, "and", cfg)
 
 
 def has_arbitrarily_large_unbordered(x, config=None):
     """Whether unbordered factors of unboundedly many lengths exist."""
-    ch = unbordered_characteristic(x, config)
+    cfg = config or CompileConfig()
+    ch = unbordered_characteristic(x, cfg)
     ones = Dfa(ch.base, 1, ch.transitions, ch.initial,
                {q for q in range(ch.n_states) if ch.outputs[q] == 1})
-    return not is_finite(_canonical_only(ones))
+    return not is_finite(_canonical_only(ones, cfg))
 
 
 def uniformly_recurrent(x, config=None):
@@ -388,4 +387,4 @@ def conjectured_bordered_lengths(config=None):
     # start, after 1(01*0)*, inside 01*0, in 10*, accepted, dead
     msd = Dfa(2, 1, [[5, 1], [2, 3], [1, 2], [3, 4], [5, 5], [5, 5]], 0, {4})
     cfg = config or CompileConfig()
-    return pad_closure(cfg.note(cfg.build(determinize_reverse, msd)))
+    return pad_closure(determinize_reverse(msd, budget=cfg))

@@ -16,7 +16,8 @@ from .numeration import DigitWord, encode_tuple
 
 
 class StateLimit(RuntimeError):
-    """A construction exceeded its state-count ceiling."""
+    """A construction exceeded its budget's state ceiling (logic.ResourceLimit
+    is this class)."""
 
 
 _ALPHABETS = {}
@@ -65,15 +66,19 @@ def _track_map(k, arity, picks):
 # ---------------------------------------------------------------------------
 # Shared graph helpers
 
-def _explore(start, successors, limit=None):
+def _explore(start, successors, budget=None):
     """Worklist kernel of every "reachable states" construction.
 
     Interns each key the first time successors() yields it and numbers the
     keys in FIFO discovery order, so yielding successors in symbol order
     gives the canonical breadth-first numbering.  Returns (keys, rows):
     keys[i] is state i and rows[i] the ids of its successors in the order
-    yielded.  Raises StateLimit when the next new key would be number limit.
+    yielded.  A budget (a logic.CompileConfig) is charged here, where
+    states are numbered: StateLimit when key number budget.max_states would
+    be created, and at the end one operation and the walk's size in
+    budget.peak_states.  A bare walk is unbounded.
     """
+    limit = None if budget is None else budget.max_states
     ids = {start: 0}
     keys = [start]
     rows = []
@@ -85,11 +90,14 @@ def _explore(start, successors, limit=None):
             if t is None:
                 t = len(keys)
                 if limit is not None and t >= limit:
-                    raise StateLimit(f"construction exceeded {limit} states")
+                    raise StateLimit(f"a construction exceeded the ceiling of {limit} states")
                 ids[nxt] = t
                 keys.append(nxt)
             row.append(t)
         rows.append(row)
+    if budget is not None:
+        budget.operations += 1
+        budget.peak_states = max(budget.peak_states, len(keys))
     return keys, rows
 
 
@@ -291,7 +299,7 @@ def _mask(states):
     return m
 
 
-def _subsets(base, arity, packed, start, final_mask, limit, pad=False):
+def _subsets(base, arity, packed, start, final_mask, budget, pad=False):
     """Subset construction over packed rows, the one kernel behind
     determinize and determinize_reverse.
 
@@ -332,12 +340,12 @@ def _subsets(base, arity, packed, start, final_mask, limit, pad=False):
     if pad:
         while (closed := start | successors(start)[0]) != start:
             start = closed
-    subsets, rows = _explore(start, successors, limit)
+    subsets, rows = _explore(start, successors, budget)
     return Dfa._from_rows(base, arity, rows, 0,
                           {i for i, subset in enumerate(subsets) if subset & final_mask})
 
 
-def determinize(a, limit=None, *, pad=False):
+def determinize(a, budget=None, *, pad=False):
     """Subset construction; multiplicities collapse to plain membership.
     With pad the start subset is closed along symbol 0: w is accepted when
     some 0^j·w is, since a mirror's leading zeros are trailing zeros."""
@@ -348,10 +356,10 @@ def determinize(a, limit=None, *, pad=False):
     for q, steps in enumerate(a.steps):
         for s, targets in steps.items():
             packed[q] |= _mask(targets) << s * n
-    return _subsets(a.base, a.arity, packed, _mask(a.initials), _mask(a.finals), limit, pad)
+    return _subsets(a.base, a.arity, packed, _mask(a.initials), _mask(a.finals), budget, pad)
 
 
-def determinize_reverse(a, drop=(), pad=False, limit=None):
+def determinize_reverse(a, drop=(), pad=False, budget=None):
     """Subset construction of the reversal of project_many(a, drop), read
     straight off the transition table of the complete DFA a; an empty drop
     projects nothing.
@@ -378,7 +386,7 @@ def determinize_reverse(a, drop=(), pad=False, limit=None):
     packed = pre.pop()
     while pre:  # last symbol first, freeing each symbol's masks once packed
         packed = [row << n | m for row, m in zip(packed, pre.pop())]
-    return _subsets(a.base, len(keep), packed, _mask(a.finals), bits[a.initial], limit, pad)
+    return _subsets(a.base, len(keep), packed, _mask(a.finals), bits[a.initial], budget, pad)
 
 
 def complement(a):
@@ -396,14 +404,14 @@ _BOOL_OPS = {
 }
 
 
-def product(a, b, op, limit=None):
+def product(a, b, op, budget=None):
     """Pairing construction; membership is the boolean op of memberships."""
     if a.base != b.base or a.arity != b.arity:
         raise ValueError("product requires matching base and arity")
     fn = _BOOL_OPS[op]
     pairs, rows = _explore(
         (a.initial, b.initial),
-        lambda pair: zip(a.transitions[pair[0]], b.transitions[pair[1]]), limit)
+        lambda pair: zip(a.transitions[pair[0]], b.transitions[pair[1]]), budget)
     finals = {i for i, (qa, qb) in enumerate(pairs) if fn(qa in a.finals, qb in b.finals)}
     return Dfa._from_rows(a.base, a.arity, rows, 0, finals)
 
@@ -707,11 +715,13 @@ def load(text):
     table = {}  # (state, symbol id) -> target
     for lineno, ln in data:
         parts = ln.split()
+        if arity == 0 and len(parts) == 3:  # the one symbol's label is empty
+            parts.insert(1, "")
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: malformed transition {ln!r}")
         eps = parts[1] == "eps"
         src, mult, dst = _parse(int, (parts[0], parts[2], parts[3]), lineno, ln)
-        digits = [] if eps else _parse(int, parts[1].split(","), lineno, ln)
+        digits = [] if eps or not parts[1] else _parse(int, parts[1].split(","), lineno, ln)
         sym = 0  # lexicographic id, track 0 most significant
         for d in digits:
             sym = sym * base + d
@@ -722,6 +732,8 @@ def load(text):
             if eps or mult != 1:
                 raise ValueError(f"line {lineno}: DFA transitions must have multiplicity 1")
             table[src, sym] = dst
+        elif mult < 1:
+            raise ValueError(f"line {lineno}: multiplicity must be positive in {ln!r}")
         elif eps:
             out.add_eps(src, dst, mult)
         else:

@@ -220,7 +220,7 @@ def cmd_oracle_compare(args):
         word = seqgen.prefix(x, args.prefix_len)
     ctx = oracle.PrefixContext(word)
     failures = 0
-    start = 0 if args.kind.endswith("complexity") or args.kind == "subword-complexity" else 1
+    start = 0 if args.kind.endswith("complexity") else 1
     for n in range(start, args.max_n + 1):
         want = oracle.brute(args.kind, ctx, n, anchor=args.anchor or "begin")
         got = rep.evaluate(n)
@@ -257,7 +257,7 @@ def cmd_eval_seq(args):
     return EXIT_OK
 
 
-def build_parser():
+def make_parser():
     parser = argparse.ArgumentParser(
         prog="autoseq",
         description="Decide predicates about k-automatic sequences and "
@@ -319,7 +319,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = make_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

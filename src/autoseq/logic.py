@@ -50,8 +50,8 @@ class CompileError(ValueError):
     pass
 
 
-class ResourceLimit(automata.StateLimit):
-    """Raised when an intermediate automaton exceeds the state ceiling."""
+# Raised when a construction would exceed its config's state ceiling.
+ResourceLimit = automata.StateLimit
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +552,9 @@ def parse(text):
 class CompileConfig:
     """Shared compilation limits, statistics and eliminated blocks.
 
+    Every construction that numbers states is handed the config as its
+    budget and charged in automata._explore: max_states is the ceiling,
+    peak_states the largest construction and operations their count.
     default_base applies to formulas that never index a sequence.  The
     config remembers every quantifier block it eliminated (blocks), so an
     equal block met again in the same analysis is not rebuilt; a new
@@ -568,24 +571,6 @@ class CompileConfig:
         self.peak_states = 0
         self.operations = 0
         self.blocks = {}  # (body, mirrored, drop, mirror) -> (result, mirrored)
-
-    def note(self, dfa):
-        self.operations += 1
-        self.peak_states = max(self.peak_states, dfa.n_states)
-        if dfa.n_states > self.max_states:
-            raise ResourceLimit(
-                f"intermediate automaton has {dfa.n_states} states "
-                f"(ceiling {self.max_states})")
-        return dfa
-
-    def build(self, construct, *args, **kwargs):
-        """construct(*args, **kwargs) stopped at the state ceiling, which
-        it reports as ResourceLimit."""
-        try:
-            return construct(*args, limit=self.max_states, **kwargs)
-        except automata.StateLimit:
-            raise ResourceLimit(
-                f"a construction exceeded the ceiling of {self.max_states} states") from None
 
 
 def _check_env(f, env):
@@ -613,12 +598,12 @@ def _linear_atom(k, coeffs, const, mode, cfg):
             return [None if (gamma + dot) % k else (gamma + dot) // k for dot in dots]
         return [-((-gamma - dot) // k) for dot in dots]
 
-    carries, rows = cfg.build(automata._explore, const, successors)
+    carries, rows = automata._explore(const, successors, cfg)
     if mode == "eq":
         finals = {i for i, g in enumerate(carries) if g == 0}
     else:
         finals = {i for i, g in enumerate(carries) if g is not None and g <= 0}
-    return minimize(cfg.note(Dfa._from_rows(k, arity, rows, 0, finals))), names
+    return minimize(Dfa._from_rows(k, arity, rows, 0, finals)), names
 
 
 def _carry_reader(k, names, forms, table, initial, cfg):
@@ -650,8 +635,8 @@ def _carry_reader(k, names, forms, table, initial, cfg):
         row = table[q]
         return [(nxt, row[e]) for e, nxt in step]
 
-    states, rows = cfg.build(automata._explore,
-                             (tuple(const for _, const in forms), initial), successors)
+    states, rows = automata._explore((tuple(const for _, const in forms), initial),
+                                     successors, cfg)
     return [_feed_carries(k, table, q, gs) for gs, q in states], rows
 
 
@@ -704,14 +689,13 @@ class _Compiler:
         if tuple(v for v in want if v in avars) != tuple(avars):
             raise AssertionError("track alignment failed")
         missing = [i for i, v in enumerate(want) if v not in avars]
-        return self.cfg.note(inflate(a, *missing) if missing else a)
+        return inflate(a, *missing) if missing else a
 
     def combine(self, a, avars, b, bvars, op):
         want = tuple(sorted(set(avars) | set(bvars)))
         a = self.align(a, avars, want)
         b = self.align(b, bvars, want)
-        prod = self.cfg.note(self.cfg.build(product, a, b, op))
-        return self.cfg.note(minimize(prod)), want
+        return minimize(product(a, b, op, self.cfg)), want
 
     def exists_many(self, names, value, mirror=False):
         """E names: value.  value may be a _Mirror, and with mirror the
@@ -723,7 +707,7 @@ class _Compiler:
         # A block's result depends on this key alone, not on the env or the
         # variable names, so alpha-variant blocks are eliminated once per
         # config (hash-consing, as a BDD package's unique table).  A hit
-        # notes nothing: its first construction was noted in this config.
+        # charges nothing: its first construction was charged to this config.
         key = dfa, isinstance(value, _Mirror), drop, mirror
         hit = self.cfg.blocks.get(key)
         if hit is None:
@@ -753,15 +737,15 @@ class _Compiler:
         # zeros lead (0^j·w).  minimize makes both routes' mirrors the same.
         if drop:
             if mirrored:
-                body = self.cfg.build(determinize, project_many(dfa, drop), pad=True)
+                body = determinize(project_many(dfa, drop), self.cfg, pad=True)
             else:
-                body = self.cfg.build(determinize_reverse, dfa, drop, pad=True)
-            dfa, mirrored = minimize(self.cfg.note(body)), True
+                body = determinize_reverse(dfa, drop, pad=True, budget=self.cfg)
+            dfa, mirrored = minimize(body), True
         if mirror or not mirrored:
             return dfa, mirrored
         # The second reversal drops no track and needs no minimize: it is
         # already the minimal DFA of the forward language.
-        return self.cfg.note(self.cfg.build(determinize_reverse, dfa)), False
+        return determinize_reverse(dfa, budget=self.cfg), False
 
     def negate(self, value):
         if isinstance(value, bool):
@@ -854,11 +838,11 @@ class _Compiler:
             labels = [(end,) for end in ends]
         else:
             (ends_a, rows_a), (ends_b, rows_b) = built
-            pairs, rows = self.cfg.build(
-                automata._explore, (0, 0), lambda p: zip(rows_a[p[0]], rows_b[p[1]]))
+            pairs, rows = automata._explore(
+                (0, 0), lambda p: zip(rows_a[p[0]], rows_b[p[1]]), self.cfg)
             labels = [(ends_a[a], ends_b[b]) for a, b in pairs]
         finals = {i for i, ends in enumerate(labels) if None not in ends and accept(*ends)}
-        return minimize(self.cfg.note(Dfa._from_rows(k, len(names), rows, 0, finals))), names
+        return minimize(Dfa._from_rows(k, len(names), rows, 0, finals)), names
 
     def atom_seqcmp(self, f):
         x = self.env[f.xname]

@@ -440,18 +440,17 @@ def _xi(x):
     return 0 if isinstance(x, _Infinity) else x
 
 
-def decompose_infinity(l, limit=1_000_000, note=None):
+def decompose_infinity(l, budget=None):
     """Split an extended-natural series into (infinity locus, finite part).
 
     Since 0 * inf = 0, a word's value is infinite exactly when some path of
     nonzero weights uses an infinite one.  The locus is therefore the
     language of a two-layer NFA on the support of the representation:
     state q means every weight so far was finite, state q + r that an
-    infinite weight has been used.  It is trimmed, determinized (raising
-    StateLimit past `limit` subsets; note, if given, sees the subset
-    construction) and minimized.  The finite part
-    replaces every infinity entry by zero, which cannot change any finite
-    value because such entries only ever meet zero there.
+    infinite weight has been used.  It is trimmed, determinized (charged
+    to budget, a logic.CompileConfig, when given) and minimized.  The
+    finite part replaces every infinity entry by zero, which cannot change
+    any finite value because such entries only ever meet zero there.
     """
     if l.semiring == "rat":
         raise ValueError("decompose_infinity applies to nat/natinf series")
@@ -465,8 +464,7 @@ def decompose_infinity(l, limit=1_000_000, note=None):
             for t, w in row:
                 nfa.add_edge(q, d, t + r if w is INF else t)
                 nfa.add_edge(q + r, d, t + r)
-    det = automata.determinize(trim_nfa(nfa), limit)
-    locus = minimize(note(det) if note else det)
+    locus = minimize(automata.determinize(trim_nfa(nfa), budget))
     if l.semiring == "nat":
         return InfDecomposition(locus, l)
     finite = LinRep._from_rows(
@@ -516,7 +514,7 @@ def _count_series(nfa, k, cfg):
     The locus construction runs under cfg's state ceiling and counts in
     its peak."""
     rep = linrep_from_nfa(eps_saturate(nfa)) if nfa.n_states else zero_rep(k)
-    dec = cfg.build(decompose_infinity, rep, note=cfg.note)
+    dec = decompose_infinity(rep, cfg)
     empty, _ = automata.is_empty(dec.infinite_part)
     if empty:
         rep = dec.finite_part
@@ -598,7 +596,7 @@ def representation_count(digit_set, k, config=None):
         return out
 
     cfg = config or logic.CompileConfig()
-    states, rows = cfg.build(automata._explore, (0, 0), lambda st: [t for _, t in moves(st)])
+    states, rows = automata._explore((0, 0), lambda st: [t for _, t in moves(st)], cfg)
     nfa = Nfa(k, 1, len(states), initials={0: 1},
               finals={i: 1 for i, (c, ph) in enumerate(states) if c == 0 and ph in (0, 2, 3, 5)})
     for src, (state, row) in enumerate(zip(states, rows)):
@@ -607,7 +605,7 @@ def representation_count(digit_set, k, config=None):
                 nfa.add_eps(src, dst)
             else:
                 nfa.add_edge(src, d, dst)
-    return _count_series(trim_nfa(cfg.note(nfa)), k, cfg)
+    return _count_series(trim_nfa(nfa), k, cfg)
 
 
 # ---------------------------------------------------------------------------

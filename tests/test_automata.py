@@ -171,10 +171,10 @@ def test_determinize_matches_frozenset_subset_construction():
             want = subset_construction(a, 1500)
         sizes.append(want.n_states)
         assert determinize(a) == want, (n, k, arity)
-        assert determinize(a, limit=want.n_states) == want
+        assert determinize(a, CompileConfig(max_states=want.n_states)) == want
         if want.n_states > 1:  # the start subset is never refused
             with pytest.raises(StateLimit):
-                determinize(a, limit=want.n_states - 1)
+                determinize(a, CompileConfig(max_states=want.n_states - 1))
     assert sum(size > 40 for size in sizes) >= 10, sizes  # not only trivial cases
 
 
@@ -230,9 +230,9 @@ def reversed_projection(a, drop, pad):
     return close_start_along_zero(rev) if pad else rev
 
 
-def reverse_projection_reference(a, drop, pad, limit=None):
+def reverse_projection_reference(a, drop, pad, budget=None):
     """determinize(reversed_projection(a, drop, pad))."""
-    return determinize(reversed_projection(a, drop, pad), limit)
+    return determinize(reversed_projection(a, drop, pad), budget)
 
 
 def test_determinize_reverse_matches_reversed_projection():
@@ -251,7 +251,8 @@ def test_determinize_reverse_matches_reversed_projection():
                     q for q in range(n) if rng.random() < 0.4}
                 a = Dfa(k, arity, rows, rng.randrange(n), finals)
                 try:
-                    wants = [reverse_projection_reference(a, drop, pad, 1500)
+                    wants = [reverse_projection_reference(a, drop, pad,
+                                                          CompileConfig(max_states=1500))
                              for drop, pad in cases]
                 except StateLimit:
                     pass
@@ -259,11 +260,12 @@ def test_determinize_reverse_matches_reversed_projection():
                 sizes.append(want.n_states)
                 got = automata.determinize_reverse(a, drop, pad=pad)
                 assert got == want, (rows, a.initial, finals, drop, pad)
-                assert automata.determinize_reverse(a, drop, pad, want.n_states) == want
+                assert automata.determinize_reverse(
+                    a, drop, pad, CompileConfig(max_states=want.n_states)) == want
                 if want.n_states > 1:  # the start subset is never refused
                     for route in (reverse_projection_reference, automata.determinize_reverse):
                         with pytest.raises(StateLimit):
-                            route(a, drop, pad, limit=want.n_states - 1)
+                            route(a, drop, pad, CompileConfig(max_states=want.n_states - 1))
     assert sum(size > 40 for size in sizes) >= 20, sizes  # not only trivial cases
 
 
@@ -286,7 +288,7 @@ def test_projecting_a_mirror_forward_matches_the_double_reversal():
                         {q for q in range(n) if rng.random() < 0.4})
                 mirror = minimize(automata.determinize_reverse(a))
                 try:
-                    cases = [(m, drop, nfa, determinize(nfa, 1500))
+                    cases = [(m, drop, nfa, determinize(nfa, CompileConfig(max_states=1500)))
                              for m in (mirror, complement(mirror)) for drop in drops
                              for nfa in [close_start_along_zero(project_many(m, drop))]]
                 except StateLimit:
@@ -299,9 +301,7 @@ def test_projecting_a_mirror_forward_matches_the_double_reversal():
                 sizes.append(got.n_states)
                 if got.n_states > 1:  # the start subset is never refused
                     with pytest.raises(StateLimit):
-                        determinize(nfa, limit=got.n_states - 1)
-                    with pytest.raises(ResourceLimit):
-                        CompileConfig(max_states=got.n_states - 1).build(determinize, nfa)
+                        determinize(nfa, CompileConfig(max_states=got.n_states - 1))
     assert sum(size > 10 for size in sizes) >= 20, sizes  # not only trivial cases
 
 
@@ -344,7 +344,7 @@ def test_determinize_reverse_without_projection_matches_reversal():
             reversed_projection(a, (), True), None)
         if want.n_states > 1:
             with pytest.raises(StateLimit):
-                automata.determinize_reverse(a, limit=want.n_states - 1)
+                automata.determinize_reverse(a, budget=CompileConfig(max_states=want.n_states - 1))
     # most states are some state's successor, so their reversed rows are
     # not empty; the draws build multi-bit memo rows (misses) and reuse them
     # (hits)
@@ -400,7 +400,8 @@ def test_subset_memo_at_chunk_boundaries():
                 while want is None:  # redraw the few DFAs whose reversals explode
                     d = image_dfa(rng, n, k, 2)
                     try:
-                        want = reverse_projection_reference(d, drop, pad, 1500)
+                        want = reverse_projection_reference(d, drop, pad,
+                                                            CompileConfig(max_states=1500))
                     except StateLimit:
                         pass
                 got = automata.determinize_reverse(d, drop, pad)
@@ -760,6 +761,30 @@ def test_store_load_roundtrip():
         load("dfa base=2 arity=1 states=2 initial=0 finals=1\n0 0 1 1\n")
 
 
+def test_store_load_roundtrip_at_arity_0():
+    # the one symbol of arity 0 is empty, so a transition line has three
+    # tokens: <from> <mult> <to>
+    d = Dfa(2, 0, [[1], [0]], 0, {1})
+    assert store(d) == "dfa base=2 arity=0 states=2 initial=0 finals=1\n0  1 1\n1  1 0\n"
+    assert load(store(d)) == d
+    n = Nfa(3, 0, 2, initials=[0], finals=[1])
+    n.add_edge(0, 0, 1, mult=2)
+    n.add_edge(1, 0, 1)
+    n.add_eps(1, 0)
+    again = load(store(n))
+    assert (again.steps, again.eps, again.initials, again.finals) == (
+        n.steps, n.eps, n.initials, n.finals)
+    with pytest.raises(ValueError, match="line 2: malformed transition '0 1 0'"):
+        load("dfa base=2 arity=1 states=1 initial=0 finals=0\n0 1 0\n")
+
+
+def test_load_names_the_line_of_a_multiplicity_below_1():
+    for line in ("0 0 0 0", "0 eps -1 0"):
+        message = f"^line 2: multiplicity must be positive in '{line}'$"
+        with pytest.raises(ValueError, match=message):
+            load(f"nfa base=2 arity=1 states=1 initial=0 finals=0\n{line}\n")
+
+
 def test_load_rejects_a_header_without_finals():
     with pytest.raises(ValueError, match="line 1: header has no finals= field"):
         load("dfa base=2 arity=1 states=1 initial=0\n0 0 1 0\n0 1 1 0\n")
@@ -819,17 +844,25 @@ def test_random_projection_inflation_roundtrip():
 
 
 def test_explore_numbers_fifo_and_stops_at_limit():
+    # a bare walk needs no budget
     keys, rows = _explore(0, lambda q: [(2 * q) % 5, (q + 3) % 5])
     assert keys == [0, 3, 1, 2, 4]
     assert rows == [[0, 1], [2, 2], [3, 4], [4, 0], [1, 3]]
-    assert _explore(0, lambda q: [(q + 1) % 5], limit=5)[0] == [0, 1, 2, 3, 4]
-    with pytest.raises(StateLimit):
-        _explore(0, lambda q: [(q + 1) % 5], limit=4)
-    # the limit counts states: key number `limit` is the first one refused
+    cfg = CompileConfig(max_states=5)
+    assert _explore(0, lambda q: [(q + 1) % 5], cfg)[0] == [0, 1, 2, 3, 4]
+    # a budgeted walk is charged one operation and its size in the peak
+    assert (cfg.operations, cfg.peak_states) == (1, 5)
+    _explore(0, lambda q: [(q + 1) % 3], cfg)
+    assert (cfg.operations, cfg.peak_states) == (2, 5)
+    with pytest.raises(StateLimit, match="exceeded the ceiling of 4 states"):
+        _explore(0, lambda q: [(q + 1) % 5], CompileConfig(max_states=4))
+    # the ceiling counts states: key number max_states is the first one
+    # refused; StateLimit and logic.ResourceLimit are one class
     seen = []
-    with pytest.raises(StateLimit):
-        _explore(0, lambda q: seen.append(q) or [q + 1], limit=3)
+    with pytest.raises(ResourceLimit):
+        _explore(0, lambda q: seen.append(q) or [q + 1], CompileConfig(max_states=3))
     assert seen == [0, 1, 2]
+    assert ResourceLimit is StateLimit
 
 
 def _mutually_reachable(n, edges):

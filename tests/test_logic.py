@@ -1,10 +1,12 @@
+import inspect
 import itertools
 import pathlib
 import random
+import sys
 
 import pytest
 
-from autoseq import analyses, automata, logic, seqgen
+from autoseq import analyses, automata, logic, regseq, seqgen
 from autoseq.automata import (Dfa, complement, determinize, equivalent, inflate,
                               minimize, pad_closure, product, project_many)
 from autoseq.logic import (Add, And, Call, CompileConfig, CompileError, Const,
@@ -247,6 +249,49 @@ def test_index_atom_stops_at_the_ceiling():
     cfg = CompileConfig(max_states=14)
     assert compile(f, ENV, cfg).n_states == 7
     assert cfg.peak_states == 14
+
+
+# Walks that charge nothing: none outgrows an automaton already charged.
+BARE_WALKS = {"minimize", "pad_closure", "is_empty"}
+
+
+def test_every_construction_is_charged_to_the_callers_config(monkeypatch):
+    # Each subset construction, product and state-numbering walk of a
+    # compile, decide, count or finiteness analysis gets the caller's
+    # config as its budget, so none escapes the ceiling or the peak.
+    calls = []  # (construction, calling function, budget)
+
+    def recording(name, fn):
+        sig = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            budget = sig.bind(*args, **kwargs).arguments.get("budget")
+            calls.append((name, sys._getframe(1).f_code.co_name, budget))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("determinize", "determinize_reverse", "product", "_explore"):
+        fn = getattr(automata, name)
+        wrapped = recording(name, fn)
+        for mod in (automata, logic, regseq, analyses):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapped)
+    cfg = CompileConfig()
+    level = compile(parse("3*t < 2*n"), ENV, cfg)  # tracks (n, t)
+    compile(parse("E i A t (t < n) => x[i+t] = x[i+n+t]"), ENV, cfg)
+    decide(parse("E i E n (n >= 1) & (A t (t < n) => x[i+t] = x[i+n+t])"), ENV, cfg)
+    regseq.count_measure(level, cfg)
+    regseq.representation_count({-1, 0, 1}, 2, cfg)
+    analyses.has_arbitrarily_large_unbordered(TM, cfg)
+    charged = [(name, caller) for name, caller, budget in calls if caller not in BARE_WALKS]
+    missed = [(name, caller) for name, caller, budget in calls
+              if caller not in BARE_WALKS and budget is not cfg]
+    assert not missed, missed
+    assert {name for name, _ in charged} == {
+        "determinize", "determinize_reverse", "product", "_explore"}
+    assert {caller for name, caller in charged if name == "_explore"} >= {
+        "_linear_atom", "_carry_reader", "index_atom", "_subsets", "product",
+        "representation_count"}
 
 
 def test_negation_compositionality():

@@ -432,8 +432,8 @@ def test_decompose_infinity_50_random():
     # value inf exactly on words containing a 1: two subsets to explore
     ones = LinRep("natinf", 2, (1,), (((1,),), ((INF,),)), (1,))
     with pytest.raises(StateLimit):
-        decompose_infinity(ones, limit=1)
-    locus = decompose_infinity(ones, limit=2).infinite_part
+        decompose_infinity(ones, CompileConfig(max_states=1))
+    locus = decompose_infinity(ones, CompileConfig(max_states=2)).infinite_part
     assert [locus.accepts(DigitWord(2, 1, tuple((d,) for d in w)))
             for w in ((), (0, 0), (0, 1), (1, 0))] == [False, False, True, True]
 
